@@ -48,7 +48,6 @@ from .toeplitz import (
     is_admissible,
     seed_chain,
     toeplitz_extract,
-    toeplitz_extract_fast,
 )
 
 __version__ = "0.1.0"

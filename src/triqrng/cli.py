@@ -11,14 +11,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .adc import quantize
 from .config import PipelineConfig, default_config, load_config, write_config
 from .pipeline import bench_json, certify, run_pipeline
-from .service import serve
+from .service import encode_gaussian, encode_rayleigh, serve
 from .source import simulate_quadratures, write_frame_csv, write_frame_raw
 from .stats import bit_tests, chi2_test, ks_test
 from .bits import BitBlock
@@ -76,9 +76,9 @@ def _cmd_certify(args) -> int:
 def _cmd_extract(args) -> int:
     cfg = _config_from(args)
     if args.window:
-        cfg = PipelineConfig(**{**asdict_config(cfg), "sg_window": args.window})
+        cfg = replace(cfg, sg_window=args.window)
     if args.order:
-        cfg = PipelineConfig(**{**asdict_config(cfg), "sg_order": args.order})
+        cfg = replace(cfg, sg_order=args.order)
     run = run_pipeline(cfg, args.blocks, want={args.type}, seed_cache_path=args.seed_cache)
     if args.type == "rayleigh" and args.histogram_mode:
         return _write_rayleigh_histogram(run.rayleigh, cfg, args)
@@ -89,16 +89,12 @@ def _cmd_extract(args) -> int:
             data = _csv_bytes(run.gaussian_i.astype(np.float64) * run.gaussian_grid_step,
                               run.gaussian_q.astype(np.float64) * run.gaussian_grid_step)
         else:
-            shift = 16 - run.n_out
-            inter = np.empty(run.gaussian_i.size + run.gaussian_q.size, dtype=np.int64)
-            inter[0::2] = run.gaussian_i
-            inter[1::2] = run.gaussian_q
-            data = (inter << shift).astype("<i2").tobytes()
+            data = encode_gaussian(run.gaussian_i, run.gaussian_q, run.n_out)
     else:
         if args.format == "csv":
             data = _csv_bytes(run.rayleigh)
         else:
-            data = run.rayleigh.astype("<f4").tobytes()
+            data = encode_rayleigh(run.rayleigh)
     if args.stdout:
         sys.stdout.buffer.write(data)
     else:
@@ -134,12 +130,6 @@ def _write_rayleigh_histogram(values, cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def asdict_config(cfg: PipelineConfig) -> dict:
-    from dataclasses import asdict as _asdict
-
-    return _asdict(cfg)
-
-
 def _cmd_test(args) -> int:
     reports = []
     if args.bits_file:
@@ -158,14 +148,14 @@ def _cmd_test(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _config_from(args)
-    print(bench_json(cfg, seconds=args.seconds, threads=args.threads))
+    print(bench_json(cfg, seconds=args.seconds))
     return 0
 
 
 def _cmd_serve(args) -> int:
     cfg = _config_from(args)
     listen = os.environ.get("TRIQRNG_LISTEN") or args.listen or cfg.listen
-    cfg = PipelineConfig(**{**asdict_config(cfg), "listen": listen})
+    cfg = replace(cfg, listen=listen)
     svc = serve(cfg)
     print(f"serving on {cfg.listen.rsplit(':', 1)[0]}:{svc.port} (ctrl-c to stop)")
     try:
@@ -225,7 +215,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("bench", help="throughput benchmark (JSON)")
     p.add_argument("--seconds", type=float, default=2.0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("serve", help="start the local HTTP bit service")

@@ -163,6 +163,31 @@ class GaussianExtraction:
     q: ChannelExtraction
 
 
+def mix_pools(
+    truncated: np.ndarray,
+    perm: np.ndarray,
+    matrix: RecursiveMatrix,
+    passes: int,
+    n_out: int,
+    grid_sigma: float = DEFAULT_GRID_SIGMA,
+) -> np.ndarray:
+    """Requantized n_out-bit codes of every whole pool of truncated codes.
+
+    Pools are len(perm) consecutive codes, gathered in `perm` order,
+    normalized, mixed by `passes` passes and requantized. A trailing
+    partial pool is ignored; carrying it over is the caller's job.
+    """
+    pool_size = perm.size
+    outs = []
+    for p in range(truncated.size // pool_size):
+        chunk = truncated[p * pool_size : (p + 1) * pool_size]
+        pool = normalize_pool(chunk.astype(np.float64)[perm], k=matrix.k)
+        for _ in range(passes):
+            pool = wallace_pass(pool, matrix)
+        outs.append(requantize(pool.values, n_out, grid_sigma))
+    return np.concatenate(outs) if outs else np.zeros(0, dtype=np.int64)
+
+
 def _extract_channel(
     codes: CodeBlock,
     m_bits: int,
@@ -176,19 +201,11 @@ def _extract_channel(
         raise ValueError("pass count must be >= 1")
     if pool_size % matrix.k:
         raise ValueError("pool size must be divisible by k")
-    truncated = msb_truncate(codes, m_bits).astype(np.float64)
-    n_pools = truncated.size // pool_size
-    if n_pools == 0:
+    truncated = msb_truncate(codes, m_bits)
+    if truncated.size < pool_size:
         raise ValueError(f"need at least pool_size={pool_size} samples, got {truncated.size}")
-    perm = bit_reversal_permutation(pool_size)
-    outs = []
-    for p in range(n_pools):
-        pool = normalize_pool(truncated[p * pool_size : (p + 1) * pool_size][perm], k=matrix.k)
-        for _ in range(passes):
-            pool = wallace_pass(pool, matrix)
-        outs.append(pool.values)
     n_out = output_precision(m_bits, matrix.k)
-    out_codes = requantize(np.concatenate(outs), n_out, grid_sigma)
+    out_codes = mix_pools(truncated, bit_reversal_permutation(pool_size), matrix, passes, n_out, grid_sigma)
     out_values = out_codes.astype(np.float64) * grid_step(n_out, grid_sigma)
     probe = out_values[: min(gof_samples, out_values.size)]
     return ChannelExtraction(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,13 +33,11 @@ from .gaussian import (
     RecursiveMatrix,
     bit_reversal_permutation,
     grid_step,
+    mix_pools,
     msb_truncate,
-    normalize_pool,
     output_precision,
     precision_from_report,
-    requantize,
     scaled_hadamard,
-    wallace_pass,
 )
 from .rayleigh import rayleigh_raw, savitzky_golay
 from .source import psd_estimate, simulate_quadratures
@@ -115,6 +112,19 @@ def certify(config: PipelineConfig, seed_offset: int = 0) -> dict[str, EntropyRe
         bv = dequantize(quantize_channel(back, spec).codes, spec)
         reports[channel] = certify_channel(channel, tv, bv, config)
     return reports
+
+
+def rayleigh_amplitudes(i_vals: np.ndarray, q_vals: np.ndarray, window: int, order: int) -> np.ndarray:
+    """The Rayleigh stage: hypot, Savitzky-Golay smoothing, clamp at 0, float32.
+
+    The smoother refits a cubic at each batch edge, which can overshoot
+    below zero next to a small amplitude; an amplitude is never negative,
+    so the smoothed values are clamped at 0.
+    """
+    raw = rayleigh_raw(i_vals, q_vals)
+    if raw.size >= window:
+        raw = np.maximum(savitzky_golay(raw, window, order), 0.0)
+    return raw.astype(np.float32)
 
 
 @dataclass
@@ -223,17 +233,11 @@ class Pipeline:
         return bytes(out)
 
     def _gaussian_from_pools(self, channel: str, truncated: np.ndarray, passes: int) -> np.ndarray:
-        cfg = self.config
         buf = np.concatenate([self._pool_buf[channel], truncated])
-        outs = []
-        while buf.size >= cfg.pool_size:
-            chunk, buf = buf[: cfg.pool_size], buf[cfg.pool_size :]
-            pool = normalize_pool(chunk.astype(np.float64)[self._perm], k=cfg.k)
-            for _ in range(passes):
-                pool = wallace_pass(pool, self._matrix)
-            outs.append(requantize(pool.values, self.n_out, self.config.output_grid_sigma))
-        self._pool_buf[channel] = buf
-        return np.concatenate(outs) if outs else np.zeros(0, dtype=np.int64)
+        whole = buf.size - buf.size % self.config.pool_size
+        self._pool_buf[channel] = buf[whole:]
+        return mix_pools(buf[:whole], self._perm, self._matrix, passes, self.n_out,
+                         self.config.output_grid_sigma)
 
     def process_blocks(
         self,
@@ -263,10 +267,7 @@ class Pipeline:
         if "rayleigh" in want:
             ti = msb_truncate(codes_i, self._m_bits).astype(np.float64) + 0.5
             tq = msb_truncate(codes_q, self._m_bits).astype(np.float64) + 0.5
-            raw = rayleigh_raw(ti, tq)
-            if raw.size >= cfg.sg_window:
-                raw = savitzky_golay(raw, cfg.sg_window, cfg.sg_order)
-            ray = raw.astype(np.float32)
+            ray = rayleigh_amplitudes(ti, tq, cfg.sg_window, cfg.sg_order)
         return BlockBatch(
             uniform=uniform,
             uniform_bits=len(uniform) * 8,
@@ -335,14 +336,14 @@ def _time_stage(fn, *args, repeats: int = 3) -> float:
     return best
 
 
-def bench(config: PipelineConfig, seconds: float = 2.0, threads: int = 1) -> dict:
+def bench(config: PipelineConfig, seconds: float = 2.0) -> dict:
     """Desk-scale throughput measurement with warmup excluded.
 
     Reports raw sample rate, uniform bit rate, Gaussian value rate, the
-    naive vs fast single-block Toeplitz comparison, and per-stage timings.
-    Machine-readable (JSON-safe) dict.
+    naive single-block vs production batch Toeplitz rates, and per-stage
+    timings. Machine-readable (JSON-safe) dict.
     """
-    from .toeplitz import toeplitz_extract, toeplitz_extract_fast
+    from .toeplitz import toeplitz_extract
 
     if seconds <= 0:
         raise ValueError("seconds must be positive")
@@ -355,22 +356,11 @@ def bench(config: PipelineConfig, seconds: float = 2.0, threads: int = 1) -> dic
     uniform_bits = 0
     gauss_values = 0
     t0 = time.perf_counter()
-    if threads > 1:
-        # thread-parallel uniform extraction over independent pipelines
-        pipes = [Pipeline(config) for _ in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while time.perf_counter() < t_end:
-                futs = [pool.submit(p.process_blocks, batch, frozenset({"uniform"})) for p in pipes]
-                for f in futs:
-                    b = f.result()
-                    uniform_bits += b.uniform_bits
-                blocks += batch * threads
-    else:
-        while time.perf_counter() < t_end:
-            b = pipe.process_blocks(batch)
-            uniform_bits += b.uniform_bits
-            gauss_values += b.gaussian_i.size + b.gaussian_q.size
-            blocks += batch
+    while time.perf_counter() < t_end:
+        b = pipe.process_blocks(batch)
+        uniform_bits += b.uniform_bits
+        gauss_values += b.gaussian_i.size + b.gaussian_q.size
+        blocks += batch
     elapsed = time.perf_counter() - t0
 
     # stage timings on a fixed workload
@@ -382,26 +372,27 @@ def bench(config: PipelineConfig, seconds: float = 2.0, threads: int = 1) -> dic
         "quantize_s_per_msample": _time_stage(quantize_channel, frame.i_samples, pipe.spec) / stage_count * 1e6,
     }
 
-    # naive vs fast single-block comparison
+    # naive oracle on one block vs the production path on one 512-block batch;
+    # single-block timings of the batch path are too noisy to compare
     rng = np.random.default_rng(0)
     block = BitBlock.from_bits(rng.integers(0, 2, config.block_n).astype(np.uint8))
+    blocks_in = rng.integers(0, 2, (batch, config.block_n)).astype(np.uint8)
     t_naive = _time_stage(toeplitz_extract, block, pipe.seed, config.block_m)
-    t_fast = _time_stage(toeplitz_extract_fast, block, pipe.seed, config.block_m)
+    t_batch = _time_stage(pipe._extractor.extract_batch, blocks_in)
     raw_samples = blocks * pipe.samples_per_block * 2
 
     return {
         "seconds": elapsed,
-        "threads": threads,
         "blocks": blocks,
         "raw_samples_per_s": raw_samples / elapsed,
         "raw_bits_per_s": raw_samples * pipe.spec.bits / elapsed,
         "uniform_bits_per_s": uniform_bits / elapsed,
         "gaussian_values_per_s": gauss_values / elapsed,
         "toeplitz_naive_blocks_per_s": 1.0 / t_naive,
-        "toeplitz_fast_blocks_per_s": 1.0 / t_fast,
+        "toeplitz_fast_blocks_per_s": batch / t_batch,
         "stage_timings": stage,
     }
 
 
-def bench_json(config: PipelineConfig, seconds: float = 2.0, threads: int = 1) -> str:
-    return json.dumps(bench(config, seconds, threads), indent=2)
+def bench_json(config: PipelineConfig, seconds: float = 2.0) -> str:
+    return json.dumps(bench(config, seconds), indent=2)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -32,6 +31,26 @@ from .pipeline import Pipeline
 from .stats import MIN_BITS, bit_tests
 
 GATE_CHUNK_BYTES = MIN_BITS // 8  # uniform bytes per bit-test gate evaluation
+
+# Wire format of each output type. Uniform bytes are already packed bits.
+CONTENT_TYPES = {
+    "uniform": "application/octet-stream",
+    "gaussian": "application/x-int16-le",
+    "rayleigh": "application/x-float32-le",
+}
+
+
+def encode_gaussian(codes_i: np.ndarray, codes_q: np.ndarray, n_out: int) -> bytes:
+    """I/Q-interleaved (I first) n_out-bit codes, left-justified in int16 LE."""
+    inter = np.empty(codes_i.size + codes_q.size, dtype=np.int64)
+    inter[0::2] = codes_i
+    inter[1::2] = codes_q
+    return (inter << (16 - n_out)).astype("<i2").tobytes()
+
+
+def encode_rayleigh(values: np.ndarray) -> bytes:
+    """Amplitudes as float32 LE."""
+    return values.astype("<f4").tobytes()
 
 
 class _ByteBuffer:
@@ -81,12 +100,6 @@ class _ByteBuffer:
             return bytes(out)
 
 
-@dataclass
-class _TypeState:
-    buffer: _ByteBuffer
-    content_type: str
-
-
 class RandomService:
     """Pipeline-backed bit server. start() returns once the port is bound."""
 
@@ -98,11 +111,7 @@ class RandomService:
         self.discarded_buffers = 0
         self.gate_results = 0
         cap = config.buffer_bytes
-        self.types = {
-            "uniform": _TypeState(_ByteBuffer(cap), "application/octet-stream"),
-            "gaussian": _TypeState(_ByteBuffer(cap), "application/x-int16-le"),
-            "rayleigh": _TypeState(_ByteBuffer(cap), "application/x-float32-le"),
-        }
+        self.buffers = {t: _ByteBuffer(cap) for t in CONTENT_TYPES}
         self._httpd: ThreadingHTTPServer | None = None
         self._threads: list[threading.Thread] = []
         self._pending_uniform = bytearray()
@@ -130,8 +139,8 @@ class RandomService:
             # materialize only output types whose buffers have room (pure
             # routing); consume no raw samples at all when nothing has room
             want = {
-                t for t, state in self.types.items()
-                if state.buffer.available() + self._estimated_batch_bytes(t, batch_blocks)
+                t for t, buf in self.buffers.items()
+                if buf.available() + self._estimated_batch_bytes(t, batch_blocks)
                 <= self.config.buffer_bytes
             }
             if not want:
@@ -143,22 +152,15 @@ class RandomService:
                 chunk = bytes(self._pending_uniform[:GATE_CHUNK_BYTES])
                 del self._pending_uniform[:GATE_CHUNK_BYTES]
                 if self._gate_uniform(chunk):
-                    self.types["uniform"].buffer.put(chunk, self._stop)
+                    self.buffers["uniform"].put(chunk, self._stop)
                 else:
                     self.discarded_buffers += 1
             if batch.gaussian_i.size or batch.gaussian_q.size:
-                inter = np.empty(batch.gaussian_i.size + batch.gaussian_q.size, dtype=np.int64)
-                inter[0::2] = batch.gaussian_i
-                inter[1::2] = batch.gaussian_q
-                # left-justify n_out bits in an int16 payload
-                shift = 16 - self.pipeline.n_out
-                self.types["gaussian"].buffer.put(
-                    (inter << shift).astype("<i2").tobytes(), self._stop
+                self.buffers["gaussian"].put(
+                    encode_gaussian(batch.gaussian_i, batch.gaussian_q, self.pipeline.n_out), self._stop
                 )
             if batch.rayleigh.size:
-                self.types["rayleigh"].buffer.put(
-                    batch.rayleigh.astype("<f4").tobytes(), self._stop
-                )
+                self.buffers["rayleigh"].put(encode_rayleigh(batch.rayleigh), self._stop)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -209,7 +211,7 @@ class RandomService:
             return
         query = parse_qs(url.query)
         rtype = query.get("type", [""])[0]
-        if rtype not in self.types:
+        if rtype not in self.buffers:
             self._send_json(req, 400, {"error": f"bad type {rtype!r}"})
             return
         try:
@@ -220,13 +222,12 @@ class RandomService:
         if nbytes <= 0 or nbytes > self.config.max_request_bytes:
             self._send_json(req, 400, {"error": f"bytes must be in [1, {self.config.max_request_bytes}]"})
             return
-        state = self.types[rtype]
-        data = state.buffer.take(nbytes, timeout=self.config.request_timeout_s)
+        data = self.buffers[rtype].take(nbytes, timeout=self.config.request_timeout_s)
         if data is None:
             self._send_json(req, 503, {"error": "certified buffer empty", "retry": True})
             return
         req.send_response(200)
-        req.send_header("Content-Type", state.content_type)
+        req.send_header("Content-Type", CONTENT_TYPES[rtype])
         req.send_header("Content-Length", str(len(data)))
         if rtype == "rayleigh":
             req.send_header("X-Data-Quality", "denoised-raw-uncertified")
@@ -243,8 +244,8 @@ class RandomService:
             "h_min_per_bit": {ch: r.h_min_per_bit for ch, r in latest.items()},
             "n_eff": {ch: r.n_eff for ch, r in latest.items()},
             "epsilon": self.config.epsilon,
-            "buffer_fill": {t: s.buffer.available() for t, s in self.types.items()},
-            "served_bytes": {t: s.buffer.served_offset for t, s in self.types.items()},
+            "buffer_fill": {t: b.available() for t, b in self.buffers.items()},
+            "served_bytes": {t: b.served_offset for t, b in self.buffers.items()},
             "discarded_buffers": self.discarded_buffers,
             "raw_samples_consumed": self.pipeline.raw_samples_consumed,
         }

@@ -9,7 +9,7 @@ output length m, the matrix is m x n with
 where s is the seed bit string of length n + m - 1, bit 0 first. Output
 bit i is the GF(2) inner product of row i with the input. Equivalently,
 output bits are coefficients n-1 .. n+m-2 of the carryless product
-s(t) * x(t), which is what the fast path computes.
+s(t) * x(t).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class ToeplitzSeed:
 
 
 def toeplitz_extract(block: BitBlock, seed: ToeplitzSeed, m: int) -> BitBlock:
-    """Reference GF(2) matrix-vector path (the oracle for the fast paths)."""
+    """Reference GF(2) matrix-vector path (the oracle for extract_batch)."""
     if block.len != seed.n:
         raise ValueError(f"input length {block.len} != seed.n {seed.n}")
     if m != seed.m:
@@ -71,18 +71,6 @@ def clmul(a: int, b: int) -> int:
     return out
 
 
-def toeplitz_extract_fast(block: BitBlock, seed: ToeplitzSeed, m: int) -> BitBlock:
-    """Same contract as toeplitz_extract via one carryless multiplication."""
-    if block.len != seed.n:
-        raise ValueError(f"input length {block.len} != seed.n {seed.n}")
-    if m != seed.m:
-        raise ValueError(f"m {m} != seed.m {seed.m}")
-    n = seed.n
-    prod = clmul(_bits_to_int(seed.bits.bits()), _bits_to_int(block.bits()))
-    window = (prod >> (n - 1)) & ((1 << m) - 1)
-    return BitBlock.from_bits(_int_to_bits(window, m))
-
-
 class ToeplitzExtractor:
     """A cached seed expanded once for high-rate batch extraction.
 
@@ -97,9 +85,6 @@ class ToeplitzExtractor:
         n, m = seed.n, seed.m
         idx = (n - 1 + np.arange(m)[:, None]) - np.arange(n)[None, :]
         self._rows_t = np.ascontiguousarray(s[idx].T.astype(np.float32))  # (n, m)
-
-    def extract(self, block: BitBlock) -> BitBlock:
-        return BitBlock.from_bits(self.extract_batch(block.bits()[None, :])[0])
 
     def extract_batch(self, blocks: np.ndarray) -> np.ndarray:
         """(B, n) 0/1 array -> (B, m) 0/1 array."""

@@ -26,10 +26,10 @@ from triqrng.source import lo_power_sweep, simulate_quadratures
 from triqrng.stats import bit_tests, chi2_sf, chi2_test, ks_test, monobit_test, runs_test
 from triqrng.toeplitz import (
     ADMISSIBLE_PRIMES,
+    ToeplitzExtractor,
     ToeplitzSeed,
     dodis_extract,
     toeplitz_extract,
-    toeplitz_extract_fast,
 )
 
 
@@ -65,17 +65,17 @@ def test_c02_toeplitz_oracle_equivalence():
     for n in range(1, 11):
         m = max(1, n - 2)
         seed = ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, n + m - 1).astype(np.uint8)), n, m)
-        for val in range(1 << n):
-            x = BitBlock.from_bits(
-                np.array([(val >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-            )
-            assert toeplitz_extract(x, seed, m) == toeplitz_extract_fast(x, seed, m)
+        xs = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+        batch = ToeplitzExtractor(seed).extract_batch(xs)
+        for x, out in zip(xs, batch):
+            assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, m).bits())
             checked += 1
     seed = ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, 2559).astype(np.uint8)), 1536, 1024)
-    for _ in range(1000):
-        x = BitBlock.from_bits(rng.integers(0, 2, 1536).astype(np.uint8))
-        assert toeplitz_extract(x, seed, 1024) == toeplitz_extract_fast(x, seed, 1024)
-    _ok(2, f"fast path bit-exact on {checked} exhaustive inputs (n<=10) and 1000 (1536,1024) blocks")
+    xs = rng.integers(0, 2, (1000, 1536)).astype(np.uint8)
+    batch = ToeplitzExtractor(seed).extract_batch(xs)
+    for x, out in zip(xs, batch):
+        assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, 1024).bits())
+    _ok(2, f"batch path bit-exact on {checked} exhaustive inputs (n<=10) and 1000 (1536,1024) blocks")
 
 
 def test_c03_leftover_hash_desk_proof():

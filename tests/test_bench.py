@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -37,10 +36,3 @@ def test_bench_json_serializable():
     doc = json.loads(bench_json(cfg, seconds=0.3))
     assert doc["blocks"] > 0
 
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs >= 4 cores for a meaningful scaling check")
-def test_bench_thread_scaling():
-    cfg = PipelineConfig(certify_samples=1 << 16, recertify_every=1 << 30)
-    single = bench(cfg, seconds=2.0, threads=1)
-    quad = bench(cfg, seconds=2.0, threads=4)
-    assert quad["uniform_bits_per_s"] >= 1.5 * single["uniform_bits_per_s"]

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from triqrng.config import PipelineConfig
 from triqrng.entropy import extractable_length
-from triqrng.pipeline import Pipeline, StartupError, certify, run_pipeline
+from triqrng.pipeline import Pipeline, StartupError, certify, rayleigh_amplitudes, run_pipeline
+from triqrng.rayleigh import savitzky_golay
 
 
 def fast_config(**kw) -> PipelineConfig:
@@ -76,6 +79,33 @@ def test_rayleigh_output_nonnegative():
     run = run_pipeline(fast_config(), duration_blocks=8, want={"rayleigh"})
     assert run.rayleigh.size > 0
     assert float(run.rayleigh.min()) >= 0.0
+
+
+def test_rayleigh_stage_clamps_edge_overshoot():
+    # the cubic refit over the first window of this rise reads -8.87 at index 0
+    amps = np.array([0.7, 0.7, 5.0] + [20.0] * 5 + [60.0] * 32)
+    out = rayleigh_amplitudes(amps, np.zeros_like(amps), window=31, order=3)
+    smoothed = savitzky_golay(amps, 31, 3)
+    assert smoothed[0] < -8.0
+    assert out.dtype == np.float32
+    assert out[0] == 0.0
+    assert np.array_equal(out[smoothed >= 0], smoothed[smoothed >= 0].astype(np.float32))
+
+
+def test_stream_identity_pinned():
+    # SHA-256 of one small fixed run; a change to any output byte must
+    # update these digests on purpose and say why
+    cfg = fast_config(certify_samples=1 << 16, recertify_every=64, pool_size=4096)
+    run = run_pipeline(cfg, duration_blocks=160, batch_blocks=32)
+    gauss = run.gaussian_i.astype("<i8").tobytes() + run.gaussian_q.astype("<i8").tobytes()
+    assert len(run.reports) == 3
+    assert (len(run.uniform), run.gaussian_i.size, run.rayleigh.size) == (40960, 12288, 15360)
+    assert hashlib.sha256(run.uniform).hexdigest() == (
+        "679912cb16fbac8c0669d37869e888c42d09247a9bf5a2ab988bf3bb45ad8599")
+    assert hashlib.sha256(gauss).hexdigest() == (
+        "64f931e1a60fa5d924eea2c8f0ddc258c77275c05444a6a58af47b5d62677016")
+    assert hashlib.sha256(run.rayleigh.astype("<f4").tobytes()).hexdigest() == (
+        "b7d5f13bd7ef7dc8904091836c1316df1f112253be988baeb07c8ffc5c162115")
 
 
 def test_startup_gate_rejects_overcommitted_geometry():
