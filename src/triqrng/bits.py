@@ -72,12 +72,14 @@ def codes_to_bits(codes: np.ndarray, bits: int) -> BitBlock:
     """Serialize signed ADC codes to a bit block.
 
     Each code is converted to offset binary (code + 2^(bits-1)) and emitted
-    MSB-first, so a block of k codes yields k*bits bits.
+    MSB-first, so a block of k codes yields k*bits bits. The offset code is
+    left-aligned in a big-endian uint32, whose first `bits` bits are then
+    the code's bits in order.
     """
     codes = np.asarray(codes)
     offset = codes.astype(np.int64) + (1 << (bits - 1))
     if offset.min(initial=0) < 0 or offset.max(initial=0) >= (1 << bits):
         raise ValueError(f"codes out of range for {bits}-bit conversion")
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    expanded = ((offset[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    return BitBlock.from_bits(expanded.reshape(-1))
+    words = (offset.reshape(-1) << (32 - bits)).astype(">u4")
+    expanded = np.unpackbits(words.view(np.uint8).reshape(-1, 4), axis=1, count=bits)
+    return BitBlock(np.packbits(expanded), codes.size * bits)

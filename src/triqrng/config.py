@@ -89,6 +89,8 @@ class PipelineConfig:
             raise ValueError("block_m must be <= block_n")
         if self.block_n % self.adc_bits:
             raise ValueError("block_n must be a multiple of the ADC bit depth")
+        if self.block_n % 8 or self.block_m % 8:
+            raise ValueError("block_n and block_m must be multiples of 8 (packed rows)")
         if self.pool_size % self.k:
             raise ValueError("pool_size must be divisible by k")
         if not 0 < self.epsilon < 1:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -63,8 +64,12 @@ class EntropyReport:
         return json.dumps(asdict(self), indent=2)
 
 
+@lru_cache(maxsize=128)
 def solve_g_star(delta_x: float, r: float) -> float:
     """Solve erf(dx/(2g)) = erfc(r/g) for g by bisection.
+
+    Pure in (delta_x, r), so solutions are cached: a certification needs the
+    same g* for every channel and record.
 
     The left side decreases and the right side increases in g, so the
     difference has a single sign change. Converges until the residual is

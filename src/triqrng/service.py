@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -58,7 +59,7 @@ class _ByteBuffer:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._chunks: list[bytes] = []
+        self._chunks: deque[bytes] = deque()
         self._size = 0
         self.served_offset = 0
         self.lock = threading.Lock()
@@ -90,7 +91,7 @@ class _ByteBuffer:
                 need = nbytes - len(out)
                 if len(chunk) <= need:
                     out += chunk
-                    self._chunks.pop(0)
+                    self._chunks.popleft()
                 else:
                     out += chunk[:need]
                     self._chunks[0] = chunk[need:]
@@ -147,14 +148,17 @@ class RandomService:
                 self._stop.wait(timeout=0.05)
                 continue
             batch = self.pipeline.process_blocks(batch_blocks, want=want)
-            self._pending_uniform += batch.uniform
-            while len(self._pending_uniform) >= GATE_CHUNK_BYTES:
-                chunk = bytes(self._pending_uniform[:GATE_CHUNK_BYTES])
-                del self._pending_uniform[:GATE_CHUNK_BYTES]
+            pending = self._pending_uniform
+            pending += batch.uniform
+            read = 0
+            while len(pending) - read >= GATE_CHUNK_BYTES:
+                chunk = bytes(pending[read:read + GATE_CHUNK_BYTES])
+                read += GATE_CHUNK_BYTES
                 if self._gate_uniform(chunk):
                     self.buffers["uniform"].put(chunk, self._stop)
                 else:
                     self.discarded_buffers += 1
+            del pending[:read]  # compact once per batch
             if batch.gaussian_i.size or batch.gaussian_q.size:
                 self.buffers["gaussian"].put(
                     encode_gaussian(batch.gaussian_i, batch.gaussian_q, self.pipeline.n_out), self._stop

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bits import BitBlock
 
@@ -74,24 +75,39 @@ def clmul(a: int, b: int) -> int:
 class ToeplitzExtractor:
     """A cached seed expanded once for high-rate batch extraction.
 
-    The expanded row matrix is reused across blocks (the seed is reusable);
-    the batch path multiplies in float32 (exact: row sums are < 2^24) and
-    reduces mod 2. Bit-exact against toeplitz_extract.
+    "Four Russians" table method (Arlazarov et al. 1970; Albrecht, Bard &
+    Hart, ACM TOMS 2010): for input byte position p and byte value b,
+    table[p][b] is the XOR of the Toeplitz columns 8p..8p+7 that b selects
+    (MSB first), packed MSB-first into uint64 words with zero padding. A
+    block's output is the XOR of one table row per input byte, so the batch
+    path works on packed bytes end to end. Bit-exact against
+    toeplitz_extract for any n and m.
     """
 
     def __init__(self, seed: ToeplitzSeed):
         self.seed = seed
-        s = seed.bits.bits()
         n, m = seed.n, seed.m
-        idx = (n - 1 + np.arange(m)[:, None]) - np.arange(n)[None, :]
-        self._rows_t = np.ascontiguousarray(s[idx].T.astype(np.float32))  # (n, m)
+        n_bytes, n_words = -(-n // 8), -(-m // 64)
+        # column j of T is s[n-1-j : n-1-j+m]
+        columns = sliding_window_view(seed.bits.bits(), m)[::-1]
+        packed = np.zeros((8 * n_bytes, 8 * n_words), dtype=np.uint8)
+        packed[:n, : (m + 7) // 8] = np.packbits(columns, axis=1)
+        packed = packed.view(np.uint64).reshape(n_bytes, 8, n_words)
+        table = np.zeros((n_bytes, 256, n_words), dtype=np.uint64)
+        for k in range(8):  # byte bit of value 2^k selects column 8p + 7 - k
+            w = 1 << k
+            table[:, w : 2 * w] = table[:, :w] ^ packed[:, 7 - k, None, :]
+        self._table = table
 
     def extract_batch(self, blocks: np.ndarray) -> np.ndarray:
-        """(B, n) 0/1 array -> (B, m) 0/1 array."""
-        if blocks.ndim != 2 or blocks.shape[1] != self.seed.n:
-            raise ValueError(f"expected (B, {self.seed.n}) bit array")
-        counts = blocks.astype(np.float32) @ self._rows_t
-        return (counts.astype(np.uint32) & 1).astype(np.uint8)
+        """(B, ceil(n/8)) packed uint8 rows -> (B, ceil(m/8)) packed uint8 rows."""
+        table = self._table
+        if blocks.dtype != np.uint8 or blocks.ndim != 2 or blocks.shape[1] != table.shape[0]:
+            raise ValueError(f"expected (B, {table.shape[0]}) packed uint8 array")
+        acc = table[0].take(blocks[:, 0], axis=0)
+        for p in range(1, table.shape[0]):
+            acc ^= table[p].take(blocks[:, p], axis=0)
+        return np.ascontiguousarray(acc.view(np.uint8)[:, : (self.seed.m + 7) // 8])
 
 
 # ---------------------------------------------------------------------------

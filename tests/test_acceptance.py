@@ -66,13 +66,15 @@ def test_c02_toeplitz_oracle_equivalence():
         m = max(1, n - 2)
         seed = ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, n + m - 1).astype(np.uint8)), n, m)
         xs = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-        batch = ToeplitzExtractor(seed).extract_batch(xs)
+        packed = ToeplitzExtractor(seed).extract_batch(np.packbits(xs, axis=1))
+        batch = np.unpackbits(packed, axis=1, count=m)
         for x, out in zip(xs, batch):
             assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, m).bits())
             checked += 1
     seed = ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, 2559).astype(np.uint8)), 1536, 1024)
     xs = rng.integers(0, 2, (1000, 1536)).astype(np.uint8)
-    batch = ToeplitzExtractor(seed).extract_batch(xs)
+    packed = ToeplitzExtractor(seed).extract_batch(np.packbits(xs, axis=1))
+    batch = np.unpackbits(packed, axis=1, count=1024)
     for x, out in zip(xs, batch):
         assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, 1024).bits())
     _ok(2, f"batch path bit-exact on {checked} exhaustive inputs (n<=10) and 1000 (1536,1024) blocks")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from triqrng.adc import AdcSpec, dequantize, dnl_profile, quantize, quantize_channel
+from triqrng.adc import AdcSpec, _edges, dequantize, dnl_profile, quantize, quantize_channel
 from triqrng.source import QuadratureFrame
 from triqrng.stats import chi2_sf
 
@@ -57,6 +57,39 @@ def test_overrange_clamps_to_extreme_codes():
     assert blk.codes[0] == spec.code_max
     assert blk.codes[1] == spec.code_min
     assert blk.clamped == 2
+
+
+def _with_neighbours(v: np.ndarray) -> np.ndarray:
+    return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+
+@pytest.mark.parametrize("bits,range_v", [(4, 1.0), (10, 2.0), (16, 0.128)])
+@pytest.mark.parametrize("dnl_max", [0.0, 0.1, 0.49])
+def test_quantize_matches_searchsorted_oracle(bits, range_v, dnl_max):
+    # oracle: the code is the number of (DNL-perturbed) edges <= v
+    spec = AdcSpec(bits=bits, range_v=range_v, dnl_max=dnl_max, dnl_seed=bits)
+    edges = _edges(spec)
+    half = range_v / 2
+    ideal = -half + spec.bin_width * np.arange(1, 1 << bits)
+    rng = np.random.default_rng(bits)
+    v = np.concatenate([
+        _with_neighbours(edges),
+        _with_neighbours(ideal),
+        _with_neighbours(np.array([-half, half, 0.0])),
+        [-2 * half, 2 * half, -1e300, 1e300, -np.inf, np.inf],
+        rng.uniform(-1.05 * half, 1.05 * half, 1 << 20),
+    ])
+    blk = quantize_channel(v, spec)
+    expected = np.searchsorted(edges, v, side="right") - (1 << (bits - 1))
+    assert np.array_equal(blk.codes, expected)
+    assert blk.codes.dtype == np.int32
+    assert blk.clamped == int(np.count_nonzero(v < -half) + np.count_nonzero(v >= half))
+
+
+def test_quantize_rejects_nan():
+    spec = AdcSpec(bits=16, range_v=0.128)
+    with pytest.raises(ValueError, match="NaN"):
+        quantize_channel(np.array([0.0, np.nan, 0.01]), spec)
 
 
 def test_quantize_both_channels():

@@ -49,6 +49,21 @@ def test_codes_to_bits_offset_binary_msb_first():
     assert list(block.bits()) == [0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1]
 
 
+def test_codes_to_bits_matches_shift_matrix_oracle():
+    # oracle: the (N, bits) shift-matrix expansion, MSB first
+    rng = np.random.default_rng(0)
+    for bits in range(4, 25):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        codes = np.concatenate([[lo, hi, 0, -1], rng.integers(lo, hi + 1, 997)]).astype(np.int32)
+        offset = codes.astype(np.int64) + (1 << (bits - 1))
+        shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+        expected = ((offset[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+        block = codes_to_bits(codes, bits)
+        assert block.len == codes.size * bits
+        assert np.array_equal(block.bits(), expected), bits
+    assert codes_to_bits(np.zeros(0, dtype=np.int32), 16).len == 0
+
+
 def test_codes_to_bits_range_check():
     with pytest.raises(ValueError):
         codes_to_bits(np.array([8]), bits=4)

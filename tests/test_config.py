@@ -39,6 +39,15 @@ def test_validation():
         PipelineConfig(epsilon=1.5)
 
 
+def test_block_sizes_must_be_whole_bytes():
+    # the uniform path hashes packed rows, so both block sizes are byte multiples
+    with pytest.raises(ValueError, match="multiples of 8"):
+        PipelineConfig(block_n=1500, adc_bits=12)  # 125 whole 12-bit codes
+    with pytest.raises(ValueError, match="multiples of 8"):
+        PipelineConfig(block_m=1020)
+    PipelineConfig(block_n=1536, adc_bits=12, block_m=1016)
+
+
 def test_matrix_roundtrip(tmp_path):
     path = str(tmp_path / "m.ini")
     ident = tuple(tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4))

@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -6,7 +7,7 @@ import urllib.request
 import pytest
 
 from triqrng.config import PipelineConfig
-from triqrng.service import RandomService
+from triqrng.service import RandomService, _ByteBuffer
 
 
 def service_config(**kw) -> PipelineConfig:
@@ -104,6 +105,23 @@ def test_served_offsets_monotone(service):
         offsets.append(json.loads(health)["served_bytes"]["uniform"])
     assert offsets == sorted(offsets)
     assert len(set(offsets)) == 3
+
+
+def test_byte_buffer_take_spans_chunks_in_order():
+    buf = _ByteBuffer(capacity=1 << 10)
+    stop = threading.Event()
+    chunks = [bytes(range(i * 10, i * 10 + 10)) for i in range(5)]
+    for c in chunks:
+        buf.put(c, stop)
+    stream = b"".join(chunks)
+    # first take ends inside chunk 2, the second spans the rest of it,
+    # all of chunk 3 and part of chunk 4
+    assert buf.take(23, timeout=0.1) == stream[:23]
+    assert buf.take(22, timeout=0.1) == stream[23:45]
+    assert buf.available() == 5
+    assert buf.take(6, timeout=0.05) is None
+    assert buf.take(5, timeout=0.1) == stream[45:]
+    assert buf.served_offset == 50 and buf.available() == 0
 
 
 def test_gate_discards_failed_buffers_and_503():

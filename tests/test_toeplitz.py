@@ -35,7 +35,8 @@ def test_golden_vector_hand_multiplied():
     seed = ToeplitzSeed(bits("10110"), n=4, m=2)
     out = toeplitz_extract(bits("1100"), seed, 2)
     assert list(out.bits()) == [0, 1]
-    assert ToeplitzExtractor(seed).extract_batch(bits("1100").bits()[None, :]).tolist() == [[0, 1]]
+    packed = ToeplitzExtractor(seed).extract_batch(np.packbits(bits("1100").bits()[None, :], axis=1))
+    assert np.unpackbits(packed, axis=1, count=2).tolist() == [[0, 1]]
 
 
 def test_zero_input_gives_zero_output():
@@ -59,13 +60,19 @@ def all_inputs(n: int) -> np.ndarray:
     return ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
 
 
+def extract_bits(seed: ToeplitzSeed, xs: np.ndarray) -> np.ndarray:
+    """Run the packed batch path on (B, n) 0/1 rows; return (B, m) 0/1 rows."""
+    out = ToeplitzExtractor(seed).extract_batch(np.packbits(xs, axis=1))
+    return np.unpackbits(out, axis=1, count=seed.m)
+
+
 def test_fast_matches_naive_exhaustive_small():
     rng = np.random.default_rng(2)
     for n in range(2, 7):
         m = max(1, n - 2)
         seed = make_seed(n, m, rng)
         xs = all_inputs(n)
-        batch = ToeplitzExtractor(seed).extract_batch(xs)
+        batch = extract_bits(seed, xs)
         for x, out in zip(xs, batch):
             assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, m).bits())
 
@@ -74,7 +81,7 @@ def test_fast_matches_naive_production_geometry():
     rng = np.random.default_rng(3)
     seed = make_seed(1536, 1024, rng)
     xs = rng.integers(0, 2, (5, 1536)).astype(np.uint8)
-    batch = ToeplitzExtractor(seed).extract_batch(xs)
+    batch = extract_bits(seed, xs)
     for x, out in zip(xs, batch):
         assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, 1024).bits())
 
@@ -82,12 +89,33 @@ def test_fast_matches_naive_production_geometry():
 def test_batch_extractor_matches_naive():
     rng = np.random.default_rng(4)
     seed = make_seed(256, 128, rng)
-    ext = ToeplitzExtractor(seed)
     blocks = rng.integers(0, 2, (32, 256)).astype(np.uint8)
-    batch = ext.extract_batch(blocks)
+    batch = extract_bits(seed, blocks)
     for i in range(32):
         ref = toeplitz_extract(BitBlock.from_bits(blocks[i]), seed, 128)
         assert np.array_equal(batch[i], ref.bits())
+
+
+def test_batch_extractor_odd_widths_and_shape_check():
+    # n and m not multiples of 8: pad bits of the input are ignored and the
+    # pad bits of the output are zero
+    rng = np.random.default_rng(15)
+    seed = make_seed(75, 43, rng)
+    xs = rng.integers(0, 2, (40, 75)).astype(np.uint8)
+    packed = np.packbits(xs, axis=1)
+    ext = ToeplitzExtractor(seed)
+    out = ext.extract_batch(packed)
+    assert out.shape == (40, 6) and out.dtype == np.uint8
+    assert not np.any(out[:, -1] & 0x1F)
+    noisy = packed.copy()
+    noisy[:, -1] |= 0x1F  # set the 5 pad bits of the last input byte
+    assert np.array_equal(ext.extract_batch(noisy), out)
+    for x, row in zip(xs, np.unpackbits(out, axis=1, count=43)):
+        assert np.array_equal(row, toeplitz_extract(BitBlock.from_bits(x), seed, 43).bits())
+    with pytest.raises(ValueError):
+        ext.extract_batch(xs)  # unpacked rows
+    with pytest.raises(ValueError):
+        ext.extract_batch(packed.astype(np.int64))
 
 
 @settings(max_examples=30, deadline=None)
