@@ -69,8 +69,17 @@ class CodeBlock:
         return self.clamped / self.codes.size if self.codes.size else 0.0
 
     def tofile(self, path: str) -> None:
-        """Write as little-endian signed 16-bit raw."""
+        """Write as little-endian signed 16-bit raw; deeper codes do not fit."""
+        if self.spec.bits > 16:
+            raise ValueError(f"{self.spec.bits}-bit codes do not fit the int16 file format")
         self.codes.astype("<i2").tofile(path)
+
+    @classmethod
+    def fromfile(cls, path: str, spec: AdcSpec) -> CodeBlock:
+        """Read a tofile() record; codes outside spec's range are rejected."""
+        if spec.bits > 16:
+            raise ValueError(f"{spec.bits}-bit codes do not fit the int16 file format")
+        return cls(codes=np.fromfile(path, dtype="<i2").astype(np.int32), spec=spec)
 
 
 def dnl_profile(spec: AdcSpec) -> np.ndarray:

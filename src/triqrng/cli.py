@@ -39,8 +39,12 @@ def _cmd_simulate(args) -> int:
         print(f"wrote {args.out}.i.f32 / {args.out}.q.f32")
     else:  # codes
         ci, cq = quantize(frame, cfg.adc_spec())
-        ci.tofile(args.out + ".i.i16")
-        cq.tofile(args.out + ".q.i16")
+        try:
+            ci.tofile(args.out + ".i.i16")
+            cq.tofile(args.out + ".q.i16")
+        except ValueError as err:
+            print(f"simulate: {err}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}.i.i16 / {args.out}.q.i16 "
               f"(clamped {ci.clamped}/{cq.clamped})")
     return 0
@@ -53,14 +57,18 @@ def _cmd_certify(args) -> int:
         if not all(file_args):
             print("certify from files needs all of --i, --q, --bg-i, --bg-q", file=sys.stderr)
             return 2
-        from .adc import dequantize
+        from .adc import CodeBlock, dequantize
         from .pipeline import certify_channel
 
         spec = cfg.adc_spec()
-        load = lambda path: dequantize(np.fromfile(path, dtype="<i2").astype(np.int64), spec)
+        try:
+            i, q, bg_i, bg_q = [dequantize(CodeBlock.fromfile(path, spec).codes, spec) for path in file_args]
+        except ValueError as err:
+            print(f"certify: {err}", file=sys.stderr)
+            return 2
         reports = {
-            "i": certify_channel("i", load(args.i_file), load(args.bg_i_file), cfg),
-            "q": certify_channel("q", load(args.q_file), load(args.bg_q_file), cfg),
+            "i": certify_channel("i", i, bg_i, cfg),
+            "q": certify_channel("q", q, bg_q, cfg),
         }
     else:
         reports = certify(cfg)

@@ -95,6 +95,14 @@ class PipelineConfig:
             raise ValueError("pool_size must be divisible by k")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
+        if self.sg_window < 1 or self.sg_window % 2 == 0:
+            raise ValueError("sg_window must be a positive odd integer")
+        if not 0 <= self.sg_order < self.sg_window:
+            raise ValueError("sg_order must satisfy 0 <= sg_order < sg_window")
+        if self.passes_i < 1 or self.passes_q < 1:
+            raise ValueError("passes_i and passes_q must be >= 1")
+        if self.recertify_every < 1:
+            raise ValueError("recertify_every must be >= 1")
 
 
 _SECTIONS = {

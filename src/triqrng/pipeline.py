@@ -260,13 +260,14 @@ class Pipeline:
         ray = np.zeros(0, dtype=np.float32)
         if "uniform" in want:
             uniform = self._extract_uniform(codes_i, codes_q, n_blocks)
+        if "gaussian" in want or "rayleigh" in want:
+            trunc_i = msb_truncate(codes_i, self._m_bits)
+            trunc_q = msb_truncate(codes_q, self._m_bits)
         if "gaussian" in want:
-            gauss_i = self._gaussian_from_pools("i", msb_truncate(codes_i, self._m_bits), cfg.passes_i)
-            gauss_q = self._gaussian_from_pools("q", msb_truncate(codes_q, self._m_bits), cfg.passes_q)
+            gauss_i = self._gaussian_from_pools("i", trunc_i, cfg.passes_i)
+            gauss_q = self._gaussian_from_pools("q", trunc_q, cfg.passes_q)
         if "rayleigh" in want:
-            ti = msb_truncate(codes_i, self._m_bits).astype(np.float64) + 0.5
-            tq = msb_truncate(codes_q, self._m_bits).astype(np.float64) + 0.5
-            ray = rayleigh_amplitudes(ti, tq, cfg.sg_window, cfg.sg_order)
+            ray = rayleigh_amplitudes(trunc_i + 0.5, trunc_q + 0.5, cfg.sg_window, cfg.sg_order)
         return BlockBatch(
             uniform=uniform,
             uniform_bits=len(uniform) * 8,

@@ -7,7 +7,8 @@ Endpoints:
         rayleigh -> little-endian float32 values, application/x-float32-le,
                     flagged X-Data-Quality: denoised-raw-uncertified
     GET /health
-        JSON summary: latest certification, buffer fill, served offsets.
+        JSON summary: latest certification, buffer fill, served offsets;
+        status "failed" once the producer thread has died.
 
 Uniform bytes are only served from blocks extracted under a fresh
 certification and gated through the internal bit-test subset; buffers
@@ -19,6 +20,7 @@ this is a demonstration analog, not a hardened service.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -30,6 +32,8 @@ from .bits import BitBlock
 from .config import PipelineConfig
 from .pipeline import Pipeline
 from .stats import MIN_BITS, bit_tests
+
+log = logging.getLogger(__name__)
 
 GATE_CHUNK_BYTES = MIN_BITS // 8  # uniform bytes per bit-test gate evaluation
 
@@ -55,7 +59,11 @@ def encode_rayleigh(values: np.ndarray) -> bytes:
 
 
 class _ByteBuffer:
-    """Bounded FIFO byte store with a monotone served-offset counter."""
+    """FIFO byte store with a monotone served-offset counter.
+
+    `capacity` is a fill target, not a hard bound: the producer only adds
+    to a buffer below it, so a buffer holds at most capacity plus one batch.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -63,20 +71,14 @@ class _ByteBuffer:
         self._size = 0
         self.served_offset = 0
         self.lock = threading.Lock()
-        self.not_full = threading.Condition(self.lock)
         self.not_empty = threading.Condition(self.lock)
 
     def available(self) -> int:
         with self.lock:
             return self._size
 
-    def put(self, data: bytes, stop_flag) -> None:
-        # backpressure: block the producer instead of dropping extracted bytes
-        with self.not_full:
-            while self._size + len(data) > self.capacity and not stop_flag.is_set():
-                self.not_full.wait(timeout=0.1)
-            if stop_flag.is_set():
-                return
+    def put(self, data: bytes) -> None:
+        with self.not_empty:
             self._chunks.append(data)
             self._size += len(data)
             self.not_empty.notify_all()
@@ -97,7 +99,6 @@ class _ByteBuffer:
                     self._chunks[0] = chunk[need:]
             self._size -= nbytes
             self.served_offset += nbytes
-            self.not_full.notify_all()
             return bytes(out)
 
 
@@ -110,6 +111,7 @@ class RandomService:
         self._stop = threading.Event()
         self.pipeline: Pipeline | None = None
         self.discarded_buffers = 0
+        self.producer_failed = False
         self.gate_results = 0
         cap = config.buffer_bytes
         self.buffers = {t: _ByteBuffer(cap) for t in CONTENT_TYPES}
@@ -124,26 +126,20 @@ class RandomService:
         self.gate_results += 1
         return all(r.passed for r in reports)
 
-    def _estimated_batch_bytes(self, rtype: str, batch_blocks: int) -> int:
-        assert self.pipeline is not None
-        samples = batch_blocks * self.pipeline.samples_per_block
-        if rtype == "uniform":
-            return batch_blocks * 2 * self.config.block_m // 8 + GATE_CHUNK_BYTES
-        if rtype == "gaussian":
-            return 2 * samples * 2 + self.config.pool_size * 2
-        return samples * 4 + 16
+    def _run_producer(self) -> None:
+        try:
+            self._produce()
+        except Exception:
+            self.producer_failed = True
+            log.exception("producer stopped; no further output will be made")
 
     def _produce(self) -> None:
         assert self.pipeline is not None
         batch_blocks = 512
         while not self._stop.is_set():
-            # materialize only output types whose buffers have room (pure
-            # routing); consume no raw samples at all when nothing has room
-            want = {
-                t for t, buf in self.buffers.items()
-                if buf.available() + self._estimated_batch_bytes(t, batch_blocks)
-                <= self.config.buffer_bytes
-            }
+            # materialize only the types whose buffers are below capacity
+            # (pure routing); consume no raw samples when every buffer is full
+            want = {t for t, buf in self.buffers.items() if buf.available() < buf.capacity}
             if not want:
                 self._stop.wait(timeout=0.05)
                 continue
@@ -155,16 +151,15 @@ class RandomService:
                 chunk = bytes(pending[read:read + GATE_CHUNK_BYTES])
                 read += GATE_CHUNK_BYTES
                 if self._gate_uniform(chunk):
-                    self.buffers["uniform"].put(chunk, self._stop)
+                    self.buffers["uniform"].put(chunk)
                 else:
                     self.discarded_buffers += 1
             del pending[:read]  # compact once per batch
             if batch.gaussian_i.size or batch.gaussian_q.size:
                 self.buffers["gaussian"].put(
-                    encode_gaussian(batch.gaussian_i, batch.gaussian_q, self.pipeline.n_out), self._stop
-                )
+                    encode_gaussian(batch.gaussian_i, batch.gaussian_q, self.pipeline.n_out))
             if batch.rayleigh.size:
-                self.buffers["rayleigh"].put(encode_rayleigh(batch.rayleigh), self._stop)
+                self.buffers["rayleigh"].put(encode_rayleigh(batch.rayleigh))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -186,7 +181,7 @@ class RandomService:
         t.start()
         self._threads.append(t)
         if self.producer_enabled:
-            p = threading.Thread(target=self._produce, daemon=True)
+            p = threading.Thread(target=self._run_producer, daemon=True)
             p.start()
             self._threads.append(p)
 
@@ -242,7 +237,7 @@ class RandomService:
         assert self.pipeline is not None
         latest = self.pipeline.reports[-1]
         return {
-            "status": "ok",
+            "status": "failed" if self.producer_failed else "ok",
             "certified": True,
             "certifications": len(self.pipeline.reports),
             "h_min_per_bit": {ch: r.h_min_per_bit for ch, r in latest.items()},

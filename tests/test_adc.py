@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from triqrng.adc import AdcSpec, _edges, dequantize, dnl_profile, quantize, quantize_channel
+from triqrng.adc import AdcSpec, CodeBlock, _edges, dequantize, dnl_profile, quantize, quantize_channel
 from triqrng.source import QuadratureFrame
 from triqrng.stats import chi2_sf
 
@@ -150,3 +150,28 @@ def test_codeblock_range_validation():
 
     with pytest.raises(ValueError):
         CodeBlock(codes=np.array([300]), spec=spec)
+
+
+def test_code_files_hold_at_most_16_bits(tmp_path):
+    path = str(tmp_path / "codes.i16")
+    with pytest.raises(ValueError, match="int16"):
+        CodeBlock(codes=np.array([70000, -100000]), spec=AdcSpec(bits=18)).tofile(path)
+    with pytest.raises(ValueError, match="int16"):
+        CodeBlock.fromfile(path, AdcSpec(bits=18))
+
+
+def test_code_file_round_trip_16_bits(tmp_path):
+    spec = AdcSpec(bits=16)
+    path = str(tmp_path / "codes.i16")
+    codes = np.array([spec.code_min, -1, 0, 1, 12345, spec.code_max])
+    CodeBlock(codes=codes, spec=spec).tofile(path)
+    back = CodeBlock.fromfile(path, spec)
+    assert back.spec == spec
+    assert np.array_equal(back.codes, codes)
+
+
+def test_code_file_rejects_codes_beyond_the_spec(tmp_path):
+    path = str(tmp_path / "codes.i16")
+    np.array([0, 4000], dtype="<i2").tofile(path)
+    with pytest.raises(ValueError, match="12 bits"):
+        CodeBlock.fromfile(path, AdcSpec(bits=12))

@@ -75,6 +75,29 @@ def test_certify_from_code_files(fast_ini, tmp_path, capsys):
     assert 0.5 < doc["i"]["h_min_per_bit"] < 0.9
 
 
+def test_certify_rejects_codes_beyond_the_adc_depth(tmp_path, capsys):
+    from dataclasses import replace
+
+    ini = str(tmp_path / "12bit.ini")
+    write_config(replace(default_config(), adc_bits=12), ini)
+    path = str(tmp_path / "wide.i16")
+    np.array([0, 4000], dtype="<i2").tofile(path)
+    rc = main(["-c", ini, "certify", "--i", path, "--q", path, "--bg-i", path, "--bg-q", path])
+    assert rc == 2
+    assert "out of range for 12 bits" in capsys.readouterr().err
+
+
+def test_simulate_refuses_codes_deeper_than_16_bits(tmp_path, capsys):
+    from dataclasses import replace
+
+    ini = str(tmp_path / "18bit.ini")
+    write_config(replace(default_config(), adc_bits=18, block_n=1152, block_m=1024), ini)
+    prefix = str(tmp_path / "rec")
+    assert main(["-c", ini, "simulate", "-n", "64", "--out", prefix, "--format", "codes"]) == 2
+    assert "int16" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".i.i16")
+
+
 def test_extract_uniform(fast_ini, tmp_path):
     out = str(tmp_path / "bits.bin")
     assert main(["-c", fast_ini, "extract", "--type", "uniform", "--blocks", "8", "--out", out]) == 0

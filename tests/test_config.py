@@ -39,6 +39,18 @@ def test_validation():
         PipelineConfig(epsilon=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sg_window", 30), ("sg_window", -1), ("sg_order", 31), ("sg_order", -1),
+    ("passes_i", 0), ("passes_q", 0), ("recertify_every", 0),
+])
+def test_values_that_fail_later_are_rejected_at_load(field, value):
+    # left to run, each of these fails or misbehaves only inside the
+    # pipeline: at the first Rayleigh batch (killing a service producer),
+    # as unmixed Gaussian output, or by recertifying on every call
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value})
+
+
 def test_block_sizes_must_be_whole_bytes():
     # the uniform path hashes packed rows, so both block sizes are byte multiples
     with pytest.raises(ValueError, match="multiples of 8"):

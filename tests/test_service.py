@@ -1,5 +1,4 @@
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -7,6 +6,7 @@ import urllib.request
 import pytest
 
 from triqrng.config import PipelineConfig
+from triqrng.pipeline import Pipeline
 from triqrng.service import RandomService, _ByteBuffer
 
 
@@ -109,10 +109,9 @@ def test_served_offsets_monotone(service):
 
 def test_byte_buffer_take_spans_chunks_in_order():
     buf = _ByteBuffer(capacity=1 << 10)
-    stop = threading.Event()
     chunks = [bytes(range(i * 10, i * 10 + 10)) for i in range(5)]
     for c in chunks:
-        buf.put(c, stop)
+        buf.put(c)
     stream = b"".join(chunks)
     # first take ends inside chunk 2, the second spans the rest of it,
     # all of chunk 3 and part of chunk 4
@@ -122,6 +121,17 @@ def test_byte_buffer_take_spans_chunks_in_order():
     assert buf.take(6, timeout=0.05) is None
     assert buf.take(5, timeout=0.1) == stream[45:]
     assert buf.served_offset == 50 and buf.available() == 0
+
+
+def test_byte_buffer_put_past_capacity_returns_at_once():
+    # capacity is the producer's fill target; put itself never waits
+    buf = _ByteBuffer(capacity=16)
+    buf.put(bytes(40))
+    t0 = time.perf_counter()
+    buf.put(bytes(range(8)))
+    assert time.perf_counter() - t0 < 1.0
+    assert buf.available() == 48
+    assert buf.take(48, timeout=0.1)[40:] == bytes(range(8))
 
 
 def test_gate_discards_failed_buffers_and_503():
@@ -157,5 +167,39 @@ def test_backpressure_pauses_the_producer():
         stalled_at = svc.pipeline.raw_samples_consumed
         time.sleep(1.5)
         assert svc.pipeline.raw_samples_consumed == stalled_at
+    finally:
+        svc.stop()
+
+
+def test_full_gaussian_buffer_does_not_starve_uniform():
+    # a Gaussian batch (two pools of 2^17 codes, 512 KiB) is larger than the
+    # free room of a 1 MB buffer holding one such batch; a client that only
+    # asks for uniform bytes must keep being served
+    svc = RandomService(service_config(pool_size=1 << 17, buffer_bytes=1_000_000,
+                                       request_timeout_s=10.0))
+    svc.start()
+    try:
+        for k in range(40):
+            status = _get(svc.port, "/random?type=uniform&bytes=65536")[0]
+            assert status == 200, f"uniform request {k} got {status}"
+        assert svc.buffers["gaussian"].available() >= 1_000_000
+    finally:
+        svc.stop()
+
+
+def test_producer_exception_reports_failed(monkeypatch):
+    def boom(self, n_blocks, want=frozenset()):
+        raise RuntimeError("injected producer fault")
+
+    monkeypatch.setattr(Pipeline, "process_blocks", boom)
+    svc = RandomService(service_config())
+    svc.start()
+    try:
+        deadline = time.time() + 5
+        status = None
+        while time.time() < deadline and status != "failed":
+            status = json.loads(_get(svc.port, "/health")[2])["status"]
+            time.sleep(0.05)
+        assert status == "failed"
     finally:
         svc.stop()
