@@ -103,6 +103,14 @@ class PipelineConfig:
             raise ValueError("passes_i and passes_q must be >= 1")
         if self.recertify_every < 1:
             raise ValueError("recertify_every must be >= 1")
+        if self.max_request_bytes > self.buffer_bytes:
+            raise ValueError("max_request_bytes must be <= buffer_bytes (a larger request is never served)")
+        if self.psd_segment < 8 or self.psd_segment & (self.psd_segment - 1):
+            raise ValueError("psd_segment must be a power of two >= 8")
+        if self.certify_samples < self.psd_segment:
+            raise ValueError("certify_samples must be >= psd_segment")
+        if not 0 <= self.prediction_order <= self.psd_segment // 2:
+            raise ValueError("prediction_order must be in [0, psd_segment // 2]")
 
 
 _SECTIONS = {

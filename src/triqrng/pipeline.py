@@ -5,13 +5,14 @@ output type is pure routing and never changes how many raw samples are
 consumed. Uniform extraction runs per 1536-bit block (96 samples x 16
 bits per channel), Gaussian extraction per filled pool, Rayleigh values
 per sample. I and Q blocks interleave alternately (I first) in the merged
-uniform output. Certification is re-run every `recertify_every` blocks
-and appended to the report log.
+uniform output. The uniform stream is certified from its own extracted
+codes over a trailing window (see Pipeline), and fails closed.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -40,8 +41,10 @@ from .gaussian import (
     scaled_hadamard,
 )
 from .rayleigh import rayleigh_raw, savitzky_golay
-from .source import psd_estimate, simulate_quadratures
+from .source import WelchAccumulator, psd_estimate, simulate_quadratures
 from .toeplitz import BitSource, ToeplitzExtractor, ToeplitzSeed, obtain_seed
+
+log = logging.getLogger(__name__)
 
 PSD_FLOOR_FRACTION = 1e-12
 
@@ -50,24 +53,23 @@ class StartupError(RuntimeError):
     """Configuration rejected at pipeline startup."""
 
 
-def certify_channel(
+def channel_report(
     channel: str,
-    total_volts: np.ndarray,
-    background_volts: np.ndarray,
+    total: WelchAccumulator,
+    psd_background: np.ndarray,
     config: PipelineConfig,
 ) -> EntropyReport:
-    """Certify one channel from digitized records plus an LO-off background.
+    """Certify one channel from the Welch window of its digitized samples.
 
-    The quantum-only PSD is the total PSD minus the background PSD (floored
-    to stay positive); its prediction error at the configured order is the
-    conditional quantum variance feeding the effective photon number.
+    The quantum-only PSD is the total PSD minus the LO-off background PSD
+    (floored to stay positive); its prediction error at the configured
+    order is the conditional quantum variance feeding the effective photon
+    number.
     """
     spec = config.adc_spec()
-    sigma_m2 = float(np.var(total_volts))
-    fs = config.sample_rate_hz
-    psd_total = psd_estimate(total_volts, config.psd_segment, fs)
-    psd_bg = psd_estimate(background_volts, config.psd_segment, fs)
-    quantum = psd_total[:, 1] - psd_bg[:, 1]
+    sigma_m2 = total.variance()
+    psd_total = total.psd()
+    quantum = psd_total[:, 1] - psd_background[:, 1]
     floor = PSD_FLOOR_FRACTION * float(psd_total[:, 1].max())
     quantum = np.maximum(quantum, floor)
     psd_quantum = np.column_stack([psd_total[:, 0], quantum])
@@ -90,27 +92,53 @@ def certify_channel(
         dnl_max=spec.dnl_max,
         prediction_order=config.prediction_order,
         psd_segment=config.psd_segment,
-        n_samples=int(total_volts.size),
+        n_samples=total.n_samples,
     )
 
 
-def certify(config: PipelineConfig, seed_offset: int = 0) -> dict[str, EntropyReport]:
-    """Simulate a measurement plus background record and certify both channels."""
-    model = config.noise_model()
+def certify_channel(
+    channel: str,
+    total_volts: np.ndarray,
+    background_volts: np.ndarray,
+    config: PipelineConfig,
+) -> EntropyReport:
+    """Certify one channel from one digitized record plus an LO-off background."""
+    total = WelchAccumulator(config.psd_segment, sample_rate_hz=config.sample_rate_hz)
+    total.feed(total_volts)
+    psd_bg = psd_estimate(background_volts, config.psd_segment, config.sample_rate_hz)
+    return channel_report(channel, total, psd_bg, config)
+
+
+def background_psd(config: PipelineConfig) -> dict[str, np.ndarray]:
+    """Welch PSD per channel of a simulated, digitized LO-off background record."""
     spec = config.adc_spec()
-    count = config.certify_samples
-    frame = simulate_quadratures(model, count, config.prng_seed + seed_offset, config.sample_rate_hz)
-    bg_model = replace(model, sigma_q2=0.0, lo_power_mw=0.0, responsivity=None)
-    bg = simulate_quadratures(bg_model, count, config.prng_seed + seed_offset + 10_000,
+    bg_model = replace(config.noise_model(), sigma_q2=0.0, lo_power_mw=0.0, responsivity=None)
+    bg = simulate_quadratures(bg_model, config.certify_samples, config.prng_seed + 10_000,
                               config.sample_rate_hz)
+    return {
+        channel: psd_estimate(dequantize(quantize_channel(back, spec).codes, spec),
+                              config.psd_segment, config.sample_rate_hz)
+        for channel, back in (("i", bg.i_samples), ("q", bg.q_samples))
+    }
+
+
+def certify(config: PipelineConfig, background: dict[str, np.ndarray] | None = None
+            ) -> dict[str, EntropyReport]:
+    """Simulate a measurement record and certify both channels.
+
+    `background` holds the per-channel LO-off PSDs of `background_psd`;
+    they are simulated when it is None.
+    """
+    if background is None:
+        background = background_psd(config)
+    spec = config.adc_spec()
+    frame = simulate_quadratures(config.noise_model(), config.certify_samples, config.prng_seed,
+                                 config.sample_rate_hz)
     reports = {}
-    for channel, tot, back in (
-        ("i", frame.i_samples, bg.i_samples),
-        ("q", frame.q_samples, bg.q_samples),
-    ):
-        tv = dequantize(quantize_channel(tot, spec).codes, spec)
-        bv = dequantize(quantize_channel(back, spec).codes, spec)
-        reports[channel] = certify_channel(channel, tv, bv, config)
+    for channel, tot in (("i", frame.i_samples), ("q", frame.q_samples)):
+        total = WelchAccumulator(config.psd_segment, sample_rate_hz=config.sample_rate_hz)
+        total.feed(dequantize(quantize_channel(tot, spec).codes, spec))
+        reports[channel] = channel_report(channel, total, background[channel], config)
     return reports
 
 
@@ -142,9 +170,25 @@ class BlockBatch:
 class Pipeline:
     """Block-streaming engine bound to one config.
 
-    Startup certifies both channels and provisions (or loads) the Toeplitz
-    seed; the block geometry is validated against the leftover-hash budget
-    of the worst channel before any extraction happens.
+    Startup certifies both channels from a simulated record plus an LO-off
+    background and provisions (or loads) the Toeplitz seed; the block
+    geometry is validated against the leftover-hash budget of the worst
+    channel before any extraction happens. The background PSD is kept:
+    every later certification is of the stream itself.
+
+    Every batch that asks for uniform output feeds its dequantized I/Q
+    codes to a per-channel trailing Welch window of `certify_samples`
+    samples. Once that window has filled, it is certified before the
+    batch's uniform bytes are returned (until then the startup
+    certification covers the batch). A window whose budget falls below
+    `block_m` stops uniform output for good, and a window whose precision
+    rule gives fewer Gaussian input bits than startup stops Gaussian
+    output for good; each stopped type is named in `stopped` with the
+    reason. Batches that ask for uniform output after it stopped still
+    feed and certify the windows, so the Gaussian check goes on. A stream
+    report is appended to `reports` when at least `recertify_every`
+    blocks have passed since the last one, and always when it stops an
+    output.
     """
 
     def __init__(self, config: PipelineConfig, seed_cache_path: str | None = None):
@@ -152,20 +196,26 @@ class Pipeline:
         self.spec = config.adc_spec()
         self.model = config.noise_model()
         self.samples_per_block = config.block_n // self.spec.bits
-        self.reports: list[dict[str, EntropyReport]] = []
         self.raw_samples_consumed = 0
-        self.blocks_since_certification = 0
+        self.blocks_since_report = 0
+        self.stopped: dict[str, str] = {}
         self._stream_seed = config.prng_seed
         self._chunk_index = 0
 
-        self._recertify(0)
-        worst = min(r.h_min_per_bit for r in self.reports[0].values())
-        budget = extractable_length(config.block_n, worst, config.epsilon)
+        self._background = background_psd(config)
+        self.reports: list[dict[str, EntropyReport]] = [certify(config, self._background)]
+        worst = min(self.reports[0].values(), key=lambda r: r.h_min_per_bit)
+        budget = extractable_length(config.block_n, worst.h_min_per_bit, config.epsilon)
         if config.block_m > budget:
             raise StartupError(
                 f"block_m={config.block_m} exceeds the leftover-hash budget "
-                f"{budget} for certified h_min_per_bit={worst:.4f} at epsilon={config.epsilon:g}"
+                f"{budget} for certified h_min_per_bit={worst.h_min_per_bit:.4f} "
+                f"at epsilon={config.epsilon:g}"
             )
+        self._windows = {
+            channel: WelchAccumulator(config.psd_segment, config.certify_samples, config.sample_rate_hz)
+            for channel in ("i", "q")
+        }
 
         self.seed = self._provision_seed(seed_cache_path)
         self._extractor = ToeplitzExtractor(self.seed)
@@ -175,7 +225,7 @@ class Pipeline:
                 raise StartupError(f"inline matrix is {self._matrix.k}x{self._matrix.k}, config k={config.k}")
         else:
             self._matrix = RecursiveMatrix(scaled_hadamard(config.k))
-        self._m_bits = precision_from_report(self._worst_report())
+        self._m_bits = precision_from_report(worst)
         self.n_out = output_precision(self._m_bits, config.k)
         self._perm = bit_reversal_permutation(config.pool_size)
         self._pool_buf: dict[str, np.ndarray] = {
@@ -184,14 +234,6 @@ class Pipeline:
         }
 
     # -- startup helpers ---------------------------------------------------
-
-    def _worst_report(self) -> EntropyReport:
-        latest = self.reports[-1]
-        return min(latest.values(), key=lambda r: r.h_min_per_bit)
-
-    def _recertify(self, offset: int) -> None:
-        self.reports.append(certify(self.config, seed_offset=offset))
-        self.blocks_since_certification = 0
 
     def _provision_seed(self, cache_path: str | None) -> ToeplitzSeed:
         cfg = self.config
@@ -205,6 +247,41 @@ class Pipeline:
                 k += 1
 
         return obtain_seed(BitSource(raw_blocks()), cfg.block_n, cfg.block_m, cache_path)
+
+    # -- stream certification ----------------------------------------------
+
+    def _stop_output(self, output: str, reason: str) -> None:
+        if output not in self.stopped:
+            self.stopped[output] = reason
+            log.warning("%s output stopped: %s", output, reason)
+
+    def _certify_window(self, codes_i: CodeBlock, codes_q: CodeBlock) -> None:
+        """Feed this batch to the trailing windows and certify them once full."""
+        cfg = self.config
+        for channel, codes in (("i", codes_i), ("q", codes_q)):
+            self._windows[channel].feed(dequantize(codes.codes, self.spec))
+        if not self._windows["i"].filled:
+            return
+        try:
+            reports = {ch: channel_report(ch, w, self._background[ch], cfg) for ch, w in self._windows.items()}
+        except ValueError as err:  # a window the bound cannot be evaluated on certifies nothing
+            for output in ("uniform", "gaussian"):
+                self._stop_output(output, f"stream certification failed: {err}")
+            return
+        worst = min(reports.values(), key=lambda r: r.h_min_per_bit)
+        budget = (extractable_length(cfg.block_n, worst.h_min_per_bit, cfg.epsilon)
+                  if worst.h_min_per_bit > 0 else 0)
+        m_bits = precision_from_report(worst)
+        stopped_before = len(self.stopped)
+        if budget < cfg.block_m:
+            self._stop_output("uniform", f"stream window budget {budget} < block_m={cfg.block_m} "
+                                         f"(h_min_per_bit={worst.h_min_per_bit:.4f})")
+        if m_bits < self._m_bits:
+            self._stop_output("gaussian", f"stream window gives {m_bits} Gaussian input bits, "
+                                          f"{self._m_bits} certified at startup")
+        if len(self.stopped) > stopped_before or self.blocks_since_report >= cfg.recertify_every:
+            self.reports.append(reports)
+            self.blocks_since_report = 0
 
     # -- streaming ---------------------------------------------------------
 
@@ -246,24 +323,26 @@ class Pipeline:
         """Consume n_blocks worth of raw samples per channel and extract.
 
         Raw consumption is identical whatever `want` selects; the argument
-        only routes which outputs are materialized.
+        only routes which outputs are materialized. A type in `stopped`
+        yields no output.
         """
         cfg = self.config
-        if self.blocks_since_certification + n_blocks > cfg.recertify_every:
-            self._recertify(self._chunk_index + 1)
         codes_i, codes_q = self._next_codes(n_blocks)
-        self.blocks_since_certification += n_blocks
+        self.blocks_since_report += n_blocks
 
         uniform = b""
         gauss_i = np.zeros(0, dtype=np.int64)
         gauss_q = np.zeros(0, dtype=np.int64)
         ray = np.zeros(0, dtype=np.float32)
         if "uniform" in want:
-            uniform = self._extract_uniform(codes_i, codes_q, n_blocks)
-        if "gaussian" in want or "rayleigh" in want:
+            self._certify_window(codes_i, codes_q)
+            if "uniform" not in self.stopped:
+                uniform = self._extract_uniform(codes_i, codes_q, n_blocks)
+        gaussian = "gaussian" in want and "gaussian" not in self.stopped
+        if gaussian or "rayleigh" in want:
             trunc_i = msb_truncate(codes_i, self._m_bits)
             trunc_q = msb_truncate(codes_q, self._m_bits)
-        if "gaussian" in want:
+        if gaussian:
             gauss_i = self._gaussian_from_pools("i", trunc_i, cfg.passes_i)
             gauss_q = self._gaussian_from_pools("q", trunc_q, cfg.passes_q)
         if "rayleigh" in want:

@@ -10,11 +10,16 @@ Endpoints:
         JSON summary: latest certification, buffer fill, served offsets;
         status "failed" once the producer thread has died.
 
-Uniform bytes are only served from blocks extracted under a fresh
-certification and gated through the internal bit-test subset; buffers
-that fail the gate are discarded and counted. Every byte is served at
-most once (monotone per-type served offsets). Plaintext HTTP, no auth:
-this is a demonstration analog, not a hardened service.
+Uniform bytes are only served from blocks whose own codes' trailing
+certification window cleared the leftover-hash budget, and gated through
+the internal bit-test subset; buffers that fail the gate are discarded
+and counted. Once the pipeline stops an output type (fail closed), the
+producer makes no more of it, uniform bytes still waiting for the gate
+are dropped, and requests the buffer cannot fill get 503 at once;
+`/health` reports `certified: false` once uniform output stopped. Every
+byte is served at most once (monotone per-type served offsets).
+Plaintext HTTP, no auth: this is a demonstration analog, not a hardened
+service.
 """
 
 from __future__ import annotations
@@ -139,12 +144,17 @@ class RandomService:
         while not self._stop.is_set():
             # materialize only the types whose buffers are below capacity
             # (pure routing); consume no raw samples when every buffer is full
-            want = {t for t, buf in self.buffers.items() if buf.available() < buf.capacity}
+            want = {t for t, buf in self.buffers.items()
+                    if buf.available() < buf.capacity and t not in self.pipeline.stopped}
             if not want:
                 self._stop.wait(timeout=0.05)
                 continue
+            if "uniform" in self.pipeline.stopped and "gaussian" not in self.pipeline.stopped:
+                want.add("uniform")  # no output, but the stream windows keep checking Gaussian precision
             batch = self.pipeline.process_blocks(batch_blocks, want=want)
             pending = self._pending_uniform
+            if "uniform" in self.pipeline.stopped:
+                pending.clear()  # held back from the gate, never to be served
             pending += batch.uniform
             read = 0
             while len(pending) - read >= GATE_CHUNK_BYTES:
@@ -221,9 +231,15 @@ class RandomService:
         if nbytes <= 0 or nbytes > self.config.max_request_bytes:
             self._send_json(req, 400, {"error": f"bytes must be in [1, {self.config.max_request_bytes}]"})
             return
-        data = self.buffers[rtype].take(nbytes, timeout=self.config.request_timeout_s)
+        # a stopped type only drains what it released before it stopped
+        timeout = 0.0 if rtype in self.pipeline.stopped else self.config.request_timeout_s
+        data = self.buffers[rtype].take(nbytes, timeout=timeout)
         if data is None:
-            self._send_json(req, 503, {"error": "certified buffer empty", "retry": True})
+            reason = self.pipeline.stopped.get(rtype)  # it may have stopped while the request waited
+            if reason:
+                self._send_json(req, 503, {"error": f"{rtype} output stopped: {reason}", "retry": False})
+            else:
+                self._send_json(req, 503, {"error": "certified buffer empty", "retry": True})
             return
         req.send_response(200)
         req.send_header("Content-Type", CONTENT_TYPES[rtype])
@@ -238,7 +254,7 @@ class RandomService:
         latest = self.pipeline.reports[-1]
         return {
             "status": "failed" if self.producer_failed else "ok",
-            "certified": True,
+            "certified": "uniform" not in self.pipeline.stopped,
             "certifications": len(self.pipeline.reports),
             "h_min_per_bit": {ch: r.h_min_per_bit for ch, r in latest.items()},
             "n_eff": {ch: r.n_eff for ch, r in latest.items()},

@@ -9,6 +9,7 @@ correlation filter. Gaussian deviates come from numpy's PCG64 generator
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,8 +175,80 @@ def lo_power_sweep(
     return out
 
 
+class WelchAccumulator:
+    """Streaming Welch PSD and variance over a trailing window of batches.
+
+    Segments are Hann-windowed with 50% overlap and aligned to the start of
+    the fed stream: the samples after the last whole segment carry into the
+    next batch, so batch boundaries never change which segments exist. Each
+    fed batch keeps its sample count, mean, variance and the periodogram sum
+    of the segments that end inside it. Once the newer batches alone hold
+    `window_samples` samples the oldest batch leaves the window; with
+    `window_samples=None` every batch stays.
+    """
+
+    def __init__(self, segment_length: int, window_samples: int | None = None,
+                 sample_rate_hz: float = 1.0):
+        if segment_length < 8 or segment_length & (segment_length - 1):
+            raise ValueError("segment_length must be a power of two >= 8")
+        self.segment_length = segment_length
+        self.window_samples = window_samples
+        self.sample_rate_hz = sample_rate_hz
+        self._win = np.hanning(segment_length)
+        self._tail = np.zeros(0)
+        # (samples, mean, variance, periodogram sum, segments) per fed batch
+        self._batches: deque[tuple[int, float, float, np.ndarray, int]] = deque()
+        self.n_samples = 0
+
+    @property
+    def filled(self) -> bool:
+        """The window holds at least `window_samples` samples."""
+        return self.window_samples is not None and self.n_samples >= self.window_samples
+
+    def feed(self, samples) -> None:
+        """Add one batch of samples that continues the fed stream."""
+        x = np.asarray(samples, dtype=np.float64)
+        if x.size == 0:
+            return
+        buf = np.concatenate([self._tail, x]) if self._tail.size else x
+        length = self.segment_length
+        step = length // 2
+        nseg = (buf.size - length) // step + 1 if buf.size >= length else 0
+        acc = np.zeros(length // 2 + 1)
+        for s in range(nseg):
+            seg = buf[s * step : s * step + length] * self._win
+            acc += np.abs(np.fft.rfft(seg)) ** 2
+        self._tail = buf[nseg * step :].copy()
+        self._batches.append((x.size, float(x.mean()), float(np.var(x)), acc, nseg))
+        self.n_samples += x.size
+        while self.filled and self.n_samples - self._batches[0][0] >= self.window_samples:
+            self.n_samples -= self._batches.popleft()[0]
+
+    def variance(self) -> float:
+        """Population variance of the samples in the window (pooled per batch)."""
+        n = self.n_samples
+        mean = sum(k / n * m for k, m, *_ in self._batches)
+        return sum(k / n * (v + (m - mean) ** 2) for k, m, v, *_ in self._batches)
+
+    def psd(self) -> np.ndarray:
+        """One-sided density over the segments that end in the window.
+
+        Returns an (nbins, 2) array of (frequency, density) rows.
+        """
+        nseg = sum(b[4] for b in self._batches)
+        if nseg == 0:
+            raise ValueError("need at least segment_length samples")
+        acc = np.zeros(self.segment_length // 2 + 1)
+        for b in self._batches:
+            acc += b[3]
+        density = acc / (nseg * np.sum(self._win**2) * self.sample_rate_hz)
+        density[1:-1] *= 2.0  # fold negative frequencies
+        freqs = np.fft.rfftfreq(self.segment_length, d=1.0 / self.sample_rate_hz)
+        return np.column_stack([freqs, density])
+
+
 def psd_estimate(samples, segment_length: int, sample_rate_hz: float = 1.0) -> np.ndarray:
-    """Welch-averaged one-sided power spectral density.
+    """Welch-averaged one-sided power spectral density of one record.
 
     Hann window, 50% overlap, density scaling: summing the returned
     densities times the bin spacing recovers the sample variance
@@ -183,22 +256,9 @@ def psd_estimate(samples, segment_length: int, sample_rate_hz: float = 1.0) -> n
 
     Returns an (nbins, 2) array of (frequency, density) rows.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if segment_length < 8 or segment_length & (segment_length - 1):
-        raise ValueError("segment_length must be a power of two >= 8")
-    if x.size < segment_length:
-        raise ValueError("need at least segment_length samples")
-    win = np.hanning(segment_length)
-    step = segment_length // 2
-    nseg = (x.size - segment_length) // step + 1
-    acc = np.zeros(segment_length // 2 + 1)
-    for s in range(nseg):
-        seg = x[s * step : s * step + segment_length] * win
-        acc += np.abs(np.fft.rfft(seg)) ** 2
-    density = acc / (nseg * np.sum(win**2) * sample_rate_hz)
-    density[1:-1] *= 2.0  # fold negative frequencies
-    freqs = np.fft.rfftfreq(segment_length, d=1.0 / sample_rate_hz)
-    return np.column_stack([freqs, density])
+    welch = WelchAccumulator(segment_length, sample_rate_hz=sample_rate_hz)
+    welch.feed(samples)
+    return welch.psd()
 
 
 def write_frame_raw(frame: QuadratureFrame, i_path: str, q_path: str) -> None:

@@ -42,13 +42,22 @@ def test_validation():
 @pytest.mark.parametrize("field, value", [
     ("sg_window", 30), ("sg_window", -1), ("sg_order", 31), ("sg_order", -1),
     ("passes_i", 0), ("passes_q", 0), ("recertify_every", 0),
+    ("psd_segment", 1000), ("psd_segment", 4), ("certify_samples", 2048),
+    ("prediction_order", 2049), ("max_request_bytes", 8 * 1024 * 1024 + 1),
 ])
 def test_values_that_fail_later_are_rejected_at_load(field, value):
     # left to run, each of these fails or misbehaves only inside the
     # pipeline: at the first Rayleigh batch (killing a service producer),
-    # as unmixed Gaussian output, or by recertifying on every call
+    # as unmixed Gaussian output, by recertifying on every call, at
+    # Pipeline start or in conditional_variance, or as a request larger
+    # than the buffer that can never be served
     with pytest.raises(ValueError, match=field):
         PipelineConfig(**{field: value})
+
+
+def test_pipeline_and_service_limits_are_inclusive():
+    PipelineConfig(psd_segment=8, certify_samples=8, prediction_order=4,
+                   buffer_bytes=1 << 20, max_request_bytes=1 << 20)
 
 
 def test_block_sizes_must_be_whole_bytes():

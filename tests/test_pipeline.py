@@ -1,7 +1,10 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import triqrng.pipeline
 
 from triqrng.config import PipelineConfig
 from triqrng.entropy import extractable_length
@@ -98,7 +101,9 @@ def test_stream_identity_pinned():
     cfg = fast_config(certify_samples=1 << 16, recertify_every=64, pool_size=4096)
     run = run_pipeline(cfg, duration_blocks=160, batch_blocks=32)
     gauss = run.gaussian_i.astype("<i8").tobytes() + run.gaussian_q.astype("<i8").tobytes()
-    assert len(run.reports) == 3
+    # 160 blocks (15,360 samples per channel) never fill the 2^16-sample
+    # stream window, so the startup certification is the only report
+    assert len(run.reports) == 1
     assert (len(run.uniform), run.gaussian_i.size, run.rayleigh.size) == (40960, 12288, 15360)
     assert hashlib.sha256(run.uniform).hexdigest() == (
         "679912cb16fbac8c0669d37869e888c42d09247a9bf5a2ab988bf3bb45ad8599")
@@ -124,13 +129,19 @@ def test_startup_gate_matches_extractable_length():
 
 
 def test_recertification_cadence():
-    cfg = fast_config(recertify_every=8, certify_samples=1 << 16)
+    # stream reports close a trailing window of the extracted codes; one is
+    # logged once the window has filled and recertify_every blocks passed
+    cfg = fast_config(recertify_every=256, certify_samples=1 << 14, psd_segment=1024)
     pipe = Pipeline(cfg)
     assert len(pipe.reports) == 1
-    pipe.process_blocks(8)
-    assert len(pipe.reports) == 1
-    pipe.process_blocks(8)  # would exceed the window -> recertifies first
-    assert len(pipe.reports) == 2
+    counts = []
+    for _ in range(8):
+        pipe.process_blocks(64, want={"uniform"})  # 6144 samples per channel
+        counts.append(len(pipe.reports))
+    assert counts == [1, 1, 1, 2, 2, 2, 2, 3]
+    # the window keeps the fewest latest batches holding 2^14 samples
+    assert {r.n_samples for r in pipe.reports[-1].values()} == {3 * 6144}
+    assert pipe.stopped == {}
 
 
 def test_seed_cache_roundtrip(tmp_path):
@@ -142,5 +153,70 @@ def test_seed_cache_roundtrip(tmp_path):
 
 
 def test_reports_log_accumulates():
-    run = run_pipeline(fast_config(recertify_every=4, certify_samples=1 << 16), 16)
+    cfg = fast_config(recertify_every=4, certify_samples=1 << 14, psd_segment=1024)
+    run = run_pipeline(cfg, 512, batch_blocks=64)
     assert len(run.reports) >= 2
+
+
+def _lower_lo_power(pipe: Pipeline, factor: float) -> None:
+    # the stream model drops its LO power mid-run; the background is unchanged
+    m = pipe.model
+    pipe.model = replace(m, sigma_q2=m.sigma_q2 / factor, lo_power_mw=m.lo_power_mw / factor)
+
+
+def _budget(reports, cfg) -> int:
+    worst = min(r.h_min_per_bit for r in reports.values())
+    return extractable_length(cfg.block_n, worst, cfg.epsilon)
+
+
+def test_lo_power_drop_stops_uniform_output_for_good():
+    # recertify_every=1 logs every closed window, so each batch's own
+    # window report can be checked against what the batch returned
+    cfg = fast_config(certify_samples=1 << 17, recertify_every=1)
+    pipe = Pipeline(cfg)
+    for _ in range(3):  # 49,152 samples per channel a batch: the window fills in batch 3
+        batch = pipe.process_blocks(512, want={"uniform"})
+        assert len(batch.uniform) == 512 * 2 * cfg.block_m // 8
+    assert len(pipe.reports) == 2 and _budget(pipe.reports[-1], cfg) >= cfg.block_m
+    _lower_lo_power(pipe, 2)
+    released = []
+    for _ in range(8):
+        logged = len(pipe.reports)
+        batch = pipe.process_blocks(512, want={"uniform", "gaussian"})
+        assert len(pipe.reports) == logged + 1
+        window_ok = _budget(pipe.reports[-1], cfg) >= cfg.block_m
+        released.append(bool(batch.uniform))
+        if window_ok and "uniform" not in pipe.stopped:
+            assert len(batch.uniform) == 512 * 2 * cfg.block_m // 8
+        else:
+            assert batch.uniform == b""
+    stop = released.index(False)
+    assert not any(released[stop:])  # stays stopped even if a later window passes
+    assert "budget" in pipe.stopped["uniform"]
+
+
+def test_lo_power_drop_that_lowers_precision_stops_gaussian_output():
+    cfg = fast_config(certify_samples=1 << 17, pool_size=4096)
+    pipe = Pipeline(cfg)
+    assert pipe.process_blocks(512).gaussian_i.size > 0
+    _lower_lo_power(pipe, 8)
+    batches = [pipe.process_blocks(512) for _ in range(6)]
+    assert "10 Gaussian input bits" in pipe.stopped["gaussian"]
+    stop = next(k for k, b in enumerate(batches) if b.gaussian_i.size == 0)
+    assert all(b.gaussian_i.size == b.gaussian_q.size == 0 for b in batches[stop:])
+    assert all(b.rayleigh.size == 512 * pipe.samples_per_block for b in batches)
+    assert "uniform" in pipe.stopped
+
+
+def test_window_that_cannot_be_certified_stops_uniform_and_gaussian(monkeypatch):
+    cfg = fast_config(certify_samples=1 << 16)
+    pipe = Pipeline(cfg)
+
+    def no_bound(sigma_m2, sigma_qc2):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(triqrng.pipeline, "effective_photon_number", no_bound)
+    assert len(pipe.process_blocks(512).uniform) > 0  # window not full yet: startup covers it
+    batch = pipe.process_blocks(512)
+    assert batch.uniform == b"" and batch.gaussian_i.size == 0 and batch.rayleigh.size > 0
+    assert set(pipe.stopped) == {"uniform", "gaussian"}

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 import urllib.error
 import urllib.request
 
@@ -15,6 +16,7 @@ def service_config(**kw) -> PipelineConfig:
         certify_samples=1 << 17,
         recertify_every=1 << 20,
         buffer_bytes=1 << 20,
+        max_request_bytes=1 << 18,
         request_timeout_s=20.0,
         gate_alpha=0.0005,
         listen="127.0.0.1:0",
@@ -201,5 +203,36 @@ def test_producer_exception_reports_failed(monkeypatch):
             status = json.loads(_get(svc.port, "/health")[2])["status"]
             time.sleep(0.05)
         assert status == "failed"
+    finally:
+        svc.stop()
+
+
+def test_lo_power_drop_stops_uniform_service_but_not_shaped_output():
+    svc = RandomService(service_config(request_timeout_s=2.0))
+    svc.start()
+    try:
+        assert json.loads(_get(svc.port, "/health")[2])["certified"] is True
+        assert _get(svc.port, "/random?type=uniform&bytes=65536")[0] == 200
+        # halve the LO power of the stream: the trailing windows of the
+        # extracted codes fall below the budget for block_m within a few batches
+        m = svc.pipeline.model
+        svc.pipeline.model = replace(m, sigma_q2=m.sigma_q2 / 2, lo_power_mw=m.lo_power_mw / 2)
+        deadline = time.time() + 60
+        status, body = 200, b""
+        while status == 200 and time.time() < deadline:
+            status, _, body = _get(svc.port, "/random?type=uniform&bytes=65536")
+        assert status == 503 and json.loads(body)["retry"] is False
+        assert "uniform output stopped" in json.loads(body)["error"]
+        health = json.loads(_get(svc.port, "/health")[2])
+        assert health["certified"] is False
+        assert not svc._pending_uniform
+        left = health["buffer_fill"]["uniform"]  # released before the stop: still served
+        if left:
+            assert _get(svc.port, f"/random?type=uniform&bytes={left}")[0] == 200
+        time.sleep(0.5)  # stays stopped while the producer runs on
+        assert json.loads(_get(svc.port, "/health")[2])["buffer_fill"]["uniform"] == 0
+        assert _get(svc.port, "/random?type=uniform&bytes=16")[0] == 503
+        for rtype in ("gaussian", "rayleigh"):
+            assert _get(svc.port, f"/random?type={rtype}&bytes=4096")[0] == 200
     finally:
         svc.stop()

@@ -3,6 +3,7 @@ import pytest
 
 from triqrng.source import (
     NoiseModel,
+    WelchAccumulator,
     lo_power_sweep,
     normalized_taps,
     psd_estimate,
@@ -177,6 +178,71 @@ def test_psd_input_validation():
         psd_estimate(np.zeros(100), 7)  # not a power of two
     with pytest.raises(ValueError):
         psd_estimate(np.zeros(100), 256)  # too few samples
+
+
+def _naive_welch(x, seg: int, fs: float = 1.0) -> np.ndarray:
+    # reference: one Hann-windowed segment every seg // 2 samples, in order
+    win = np.hanning(seg)
+    step = seg // 2
+    nseg = (x.size - seg) // step + 1
+    acc = np.zeros(seg // 2 + 1)
+    for s in range(nseg):
+        acc += np.abs(np.fft.rfft(x[s * step : s * step + seg] * win)) ** 2
+    dens = acc / (nseg * np.sum(win**2) * fs)
+    dens[1:-1] *= 2.0
+    return np.column_stack([np.fft.rfftfreq(seg, d=1.0 / fs), dens])
+
+
+def _random_splits(rng, n: int, max_parts: int) -> list[np.ndarray]:
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, max_parts)), replace=False))
+    return np.split(np.arange(n), cuts)
+
+
+def test_psd_estimate_equals_naive_welch_bit_for_bit():
+    x = simulate_quadratures(NoiseModel(sigma_q2=1.0, sigma_e2=0.3, filter_taps=LOWPASS_8),
+                             1 << 16, prng_seed=20).i_samples
+    for seg, n, fs in ((256, 1 << 16, 1.0), (1024, 50_000, 2.0e9), (64, 64, 3.0), (8, 1001, 1.0)):
+        assert np.array_equal(psd_estimate(x[:n], seg, fs), _naive_welch(x[:n], seg, fs))
+
+
+def test_welch_accumulator_matches_naive_welch_for_any_batch_split():
+    rng = np.random.default_rng(21)
+    seg = 256
+    x = simulate_quadratures(NoiseModel(sigma_q2=1.0, sigma_e2=0.3, filter_taps=LOWPASS_8),
+                             20_000, prng_seed=21).i_samples * 3e-3
+    for _ in range(20):
+        welch = WelchAccumulator(seg, sample_rate_hz=2.0)
+        for idx in _random_splits(rng, x.size, 60):
+            welch.feed(x[idx])
+        assert welch.n_samples == x.size and not welch.filled
+        np.testing.assert_allclose(welch.psd(), _naive_welch(x, seg, 2.0), rtol=1e-12, atol=0)
+        assert welch.variance() == pytest.approx(np.var(x), rel=1e-12)
+
+
+def test_welch_accumulator_trailing_window():
+    # the window keeps the fewest latest batches holding `window` samples;
+    # segments stay aligned to the stream start and count in the window
+    # when they end inside it
+    rng = np.random.default_rng(22)
+    seg, window = 128, 3000
+    step = seg // 2
+    x = simulate_quadratures(NoiseModel(sigma_q2=1.0, sigma_e2=0.3, filter_taps=LOWPASS_8),
+                             12_000, prng_seed=22).i_samples
+    for _ in range(10):
+        welch = WelchAccumulator(seg, window)
+        parts = _random_splits(rng, x.size, 40)
+        starts = [int(p[0]) for p in parts]
+        for k, idx in enumerate(parts):
+            welch.feed(x[idx])
+            end = int(idx[-1]) + 1
+            if end < window:
+                assert not welch.filled
+                continue
+            lo = max(starts[j] for j in range(k + 1) if end - starts[j] >= window)
+            assert welch.filled and welch.n_samples == end - lo
+            first = max(0, -(-(lo - seg + 1) // step) * step)
+            np.testing.assert_allclose(welch.psd(), _naive_welch(x[first:end], seg), rtol=1e-12, atol=0)
+            assert welch.variance() == pytest.approx(np.var(x[lo:end]), rel=1e-12)
 
 
 def test_sample_rate_labels_frequency_axis():
