@@ -21,7 +21,6 @@ from .entropy import (
 from .gaussian import (
     GaussianPool,
     RecursiveMatrix,
-    gaussian_extract,
     msb_truncate,
     normalize_pool,
     output_precision,
@@ -40,7 +39,6 @@ from .source import (
 )
 from .stats import GofReport, bit_tests, chi2_test, ks_test
 from .toeplitz import (
-    ADMISSIBLE_PRIMES,
     BitSource,
     ToeplitzExtractor,
     ToeplitzSeed,

@@ -62,12 +62,6 @@ class BitBlock:
         return BitBlock(self.packed ^ other.packed, self.len)
 
 
-def concat_blocks(blocks: list[BitBlock]) -> BitBlock:
-    if not blocks:
-        return BitBlock(np.zeros(0, dtype=np.uint8), 0)
-    return BitBlock.from_bits(np.concatenate([b.bits() for b in blocks]))
-
-
 def codes_to_bits(codes: np.ndarray, bits: int) -> BitBlock:
     """Serialize signed ADC codes to a bit block.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adc import quantize
 from .config import PipelineConfig, default_config, load_config, write_config
-from .pipeline import bench_json, certify, run_pipeline
+from .pipeline import bench, certify, run_pipeline
 from .service import encode_gaussian, encode_rayleigh, serve
 from .source import simulate_quadratures, write_frame_csv, write_frame_raw
 from .stats import bit_tests, chi2_test, ks_test
@@ -83,10 +83,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_extract(args) -> int:
     cfg = _config_from(args)
-    if args.window:
-        cfg = replace(cfg, sg_window=args.window)
-    if args.order:
-        cfg = replace(cfg, sg_order=args.order)
+    smoothing = {"sg_window": args.window, "sg_order": args.order}
+    try:
+        cfg = replace(cfg, **{key: value for key, value in smoothing.items() if value is not None})
+    except ValueError as err:
+        print(f"extract: {err}", file=sys.stderr)
+        return 2
     run = run_pipeline(cfg, args.blocks, want={args.type}, seed_cache_path=args.seed_cache)
     if args.type == "rayleigh" and args.histogram_mode:
         return _write_rayleigh_histogram(run.rayleigh, cfg, args)
@@ -156,7 +158,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _config_from(args)
-    print(bench_json(cfg, seconds=args.seconds))
+    print(json.dumps(bench(cfg, seconds=args.seconds), indent=2))
     return 0
 
 
@@ -221,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--alpha", type=float, default=0.01)
     p.set_defaults(fn=_cmd_test)
 
-    p = sub.add_parser("bench", help="throughput benchmark (JSON)")
+    p = sub.add_parser("bench", help="production-path throughput benchmark (JSON)")
     p.add_argument("--seconds", type=float, default=2.0)
     p.set_defaults(fn=_cmd_bench)
 

@@ -18,9 +18,8 @@ All logarithms are base 2; entropies are in bits.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,9 +58,6 @@ class EntropyReport:
             raise ValueError("invalid n_eff / g_star")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 @lru_cache(maxsize=128)

@@ -23,13 +23,10 @@ import numpy as np
 
 from .adc import CodeBlock
 from .entropy import EntropyReport
-from .stats import GofReport, chi2_test, ks_test
 
 ORTHO_TOL = 1e-12
 DEFAULT_K = 4
-DEFAULT_POOL_SIZE = 65536
 DEFAULT_GRID_SIGMA = 5.0
-DEFAULT_GOF_SAMPLES = 100_000
 
 
 def scaled_hadamard(k: int = DEFAULT_K) -> np.ndarray:
@@ -144,25 +141,6 @@ def grid_step(n_out: int, grid_sigma: float = DEFAULT_GRID_SIGMA) -> float:
     return 2.0 * grid_sigma / (1 << n_out)
 
 
-@dataclass
-class ChannelExtraction:
-    """Extractor output for one quadrature."""
-
-    codes: np.ndarray          # fixed-point outputs, n_out-bit signed
-    values: np.ndarray         # the same outputs as floats on the grid
-    n_out: int
-    m_bits: int
-    passes: int
-    gof_ks: GofReport
-    gof_chi2: GofReport
-
-
-@dataclass
-class GaussianExtraction:
-    i: ChannelExtraction
-    q: ChannelExtraction
-
-
 def mix_pools(
     truncated: np.ndarray,
     perm: np.ndarray,
@@ -177,6 +155,8 @@ def mix_pools(
     normalized, mixed by `passes` passes and requantized. A trailing
     partial pool is ignored; carrying it over is the caller's job.
     """
+    if passes < 1:
+        raise ValueError("pass count must be >= 1")
     pool_size = perm.size
     outs = []
     for p in range(truncated.size // pool_size):
@@ -186,59 +166,3 @@ def mix_pools(
             pool = wallace_pass(pool, matrix)
         outs.append(requantize(pool.values, n_out, grid_sigma))
     return np.concatenate(outs) if outs else np.zeros(0, dtype=np.int64)
-
-
-def _extract_channel(
-    codes: CodeBlock,
-    m_bits: int,
-    passes: int,
-    matrix: RecursiveMatrix,
-    pool_size: int,
-    grid_sigma: float,
-    gof_samples: int,
-) -> ChannelExtraction:
-    if passes < 1:
-        raise ValueError("pass count must be >= 1")
-    if pool_size % matrix.k:
-        raise ValueError("pool size must be divisible by k")
-    truncated = msb_truncate(codes, m_bits)
-    if truncated.size < pool_size:
-        raise ValueError(f"need at least pool_size={pool_size} samples, got {truncated.size}")
-    n_out = output_precision(m_bits, matrix.k)
-    out_codes = mix_pools(truncated, bit_reversal_permutation(pool_size), matrix, passes, n_out, grid_sigma)
-    out_values = out_codes.astype(np.float64) * grid_step(n_out, grid_sigma)
-    probe = out_values[: min(gof_samples, out_values.size)]
-    return ChannelExtraction(
-        codes=out_codes,
-        values=out_values,
-        n_out=n_out,
-        m_bits=m_bits,
-        passes=passes,
-        gof_ks=ks_test(probe, "gaussian"),
-        gof_chi2=chi2_test(probe, "gaussian", n_bins=64),
-    )
-
-
-def gaussian_extract(
-    codes_i: CodeBlock,
-    codes_q: CodeBlock,
-    report: EntropyReport,
-    passes_i: int = 5,
-    passes_q: int = 4,
-    matrix: RecursiveMatrix | None = None,
-    pool_size: int = DEFAULT_POOL_SIZE,
-    grid_sigma: float = DEFAULT_GRID_SIGMA,
-    gof_samples: int = DEFAULT_GOF_SAMPLES,
-) -> GaussianExtraction:
-    """Run both channels: truncate, normalize, mix, requantize, test.
-
-    The precision m comes from the certified entropy report; each channel
-    emits requantized fixed-point values plus a KS / chi-squared report
-    against a Gaussian reference.
-    """
-    mat = matrix or RecursiveMatrix(scaled_hadamard(DEFAULT_K))
-    m_bits = precision_from_report(report)
-    return GaussianExtraction(
-        i=_extract_channel(codes_i, m_bits, passes_i, mat, pool_size, grid_sigma, gof_samples),
-        q=_extract_channel(codes_q, m_bits, passes_q, mat, pool_size, grid_sigma, gof_samples),
-    )

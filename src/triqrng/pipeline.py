@@ -11,16 +11,14 @@ codes over a trailing window (see Pipeline), and fails closed.
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .adc import CodeBlock, dequantize, quantize_channel
-from .bits import BitBlock, codes_to_bits
+from .bits import codes_to_bits
 from .config import PipelineConfig
 from .entropy import (
     EntropyReport,
@@ -297,16 +295,10 @@ class Pipeline:
         )
 
     def _extract_uniform(self, codes_i: CodeBlock, codes_q: CodeBlock, n_blocks: int) -> bytes:
-        cfg = self.config
-        row_bytes = cfg.block_n // 8
-        ext_i = self._extractor.extract_batch(
-            codes_to_bits(codes_i.codes, self.spec.bits).packed.reshape(n_blocks, row_bytes))
-        ext_q = self._extractor.extract_batch(
-            codes_to_bits(codes_q.codes, self.spec.bits).packed.reshape(n_blocks, row_bytes))
-        interleaved = np.empty((2 * n_blocks, cfg.block_m // 8), dtype=np.uint8)
-        interleaved[0::2] = ext_i
-        interleaved[1::2] = ext_q
-        return interleaved.tobytes()
+        # rows in (block, channel) order are already the I-first interleave
+        codes = np.stack([codes_i.codes.reshape(n_blocks, -1), codes_q.codes.reshape(n_blocks, -1)], axis=1)
+        rows = codes_to_bits(codes, self.spec.bits).packed.reshape(2 * n_blocks, self.config.block_n // 8)
+        return self._extractor.extract_batch(rows).tobytes()
 
     def _gaussian_from_pools(self, channel: str, truncated: np.ndarray, passes: int) -> np.ndarray:
         buf = np.concatenate([self._pool_buf[channel], truncated])
@@ -404,32 +396,23 @@ def run_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# benchmarks
-
-def _time_stage(fn, *args, repeats: int = 3) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
+# benchmark
 
 def bench(config: PipelineConfig, seconds: float = 2.0) -> dict:
-    """Desk-scale throughput measurement with warmup excluded.
+    """Production-path throughput with warm-up excluded, as a JSON-safe dict.
 
-    Reports raw sample rate, uniform bit rate, Gaussian value rate, the
-    naive single-block vs production batch Toeplitz rates, and per-stage
-    timings. Machine-readable (JSON-safe) dict.
+    Times `process_blocks(512)` on all three types, the batch that
+    `run_pipeline` and the service fill make. Warm-up runs such batches
+    until the stream certification windows have filled, so every timed
+    batch pays for its own window.
     """
-    from .toeplitz import toeplitz_extract
-
     if seconds <= 0:
         raise ValueError("seconds must be positive")
-    pipe = Pipeline(config)
-    pipe.process_blocks(64)  # warmup: JIT-free but primes caches/allocators
-
     batch = 512
+    pipe = Pipeline(config)
+    while not pipe._windows["i"].filled:
+        pipe.process_blocks(batch)
+
     t_end = time.perf_counter() + seconds
     blocks = 0
     uniform_bits = 0
@@ -441,25 +424,7 @@ def bench(config: PipelineConfig, seconds: float = 2.0) -> dict:
         gauss_values += b.gaussian_i.size + b.gaussian_q.size
         blocks += batch
     elapsed = time.perf_counter() - t0
-
-    # stage timings on a fixed workload
-    model = pipe.model
-    stage_count = 1 << 18
-    frame = simulate_quadratures(model, stage_count, 123)
-    stage = {
-        "simulate_s_per_msample": _time_stage(simulate_quadratures, model, stage_count, 55) / stage_count * 1e6,
-        "quantize_s_per_msample": _time_stage(quantize_channel, frame.i_samples, pipe.spec) / stage_count * 1e6,
-    }
-
-    # naive oracle on one block vs the production path on one 512-block batch;
-    # single-block timings of the batch path are too noisy to compare
-    rng = np.random.default_rng(0)
-    block = BitBlock.from_bits(rng.integers(0, 2, config.block_n).astype(np.uint8))
-    blocks_in = rng.integers(0, 256, (batch, config.block_n // 8), dtype=np.uint8)
-    t_naive = _time_stage(toeplitz_extract, block, pipe.seed, config.block_m)
-    t_batch = _time_stage(pipe._extractor.extract_batch, blocks_in)
     raw_samples = blocks * pipe.samples_per_block * 2
-
     return {
         "seconds": elapsed,
         "blocks": blocks,
@@ -467,11 +432,4 @@ def bench(config: PipelineConfig, seconds: float = 2.0) -> dict:
         "raw_bits_per_s": raw_samples * pipe.spec.bits / elapsed,
         "uniform_bits_per_s": uniform_bits / elapsed,
         "gaussian_values_per_s": gauss_values / elapsed,
-        "toeplitz_naive_blocks_per_s": 1.0 / t_naive,
-        "toeplitz_fast_blocks_per_s": batch / t_batch,
-        "stage_timings": stage,
     }
-
-
-def bench_json(config: PipelineConfig, seconds: float = 2.0) -> str:
-    return json.dumps(bench(config, seconds), indent=2)

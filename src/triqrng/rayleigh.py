@@ -2,9 +2,8 @@
 Savitzky-Golay denoising.
 
 No extraction guarantee is attached to these outputs: amplitude values are
-"denoised raw" everywhere in this package. The filter interface is
-pluggable; only Savitzky-Golay is implemented (Wiener and wavelet
-denoisers are extension points).
+"denoised raw" everywhere in this package. The only denoiser is
+Savitzky-Golay.
 """
 
 from __future__ import annotations

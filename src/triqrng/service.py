@@ -8,7 +8,8 @@ Endpoints:
                     flagged X-Data-Quality: denoised-raw-uncertified
     GET /health
         JSON summary: latest certification, buffer fill, served offsets;
-        status "failed" once the producer thread has died.
+        status "degraded" while an output type is stopped, "failed" once
+        the producer thread has died.
 
 Uniform bytes are only served from blocks whose own codes' trailing
 certification window cleared the leftover-hash budget, and gated through
@@ -253,7 +254,7 @@ class RandomService:
         assert self.pipeline is not None
         latest = self.pipeline.reports[-1]
         return {
-            "status": "failed" if self.producer_failed else "ok",
+            "status": "failed" if self.producer_failed else "degraded" if self.pipeline.stopped else "ok",
             "certified": "uniform" not in self.pipeline.stopped,
             "certifications": len(self.pipeline.reports),
             "h_min_per_bit": {ch: r.h_min_per_bit for ch, r in latest.items()},

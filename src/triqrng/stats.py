@@ -9,9 +9,8 @@ to method-of-moments estimates from the sample (flagged in the report).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -38,9 +37,6 @@ class GofReport:
             raise ValueError("p_value outside [0, 1]")
         if self.passed != (self.p_value >= self.alpha):
             raise ValueError("pass flag inconsistent with p_value/alpha")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def _report(name: str, stat: float, p: float, alpha: float, n: int, estimated: bool = False) -> GofReport:

@@ -144,9 +144,6 @@ def is_admissible(n: int) -> bool:
     return _order_of_two(n) == n - 1
 
 
-ADMISSIBLE_PRIMES: tuple[int, ...] = tuple(p for p in range(3, 4100) if is_admissible(p))
-
-
 def next_admissible(n: int) -> int:
     """Smallest admissible prime >= n."""
     p = max(3, n)

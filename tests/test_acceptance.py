@@ -18,17 +18,26 @@ from triqrng.adc import AdcSpec, quantize
 from triqrng.bits import BitBlock
 from triqrng.config import PipelineConfig
 from triqrng.entropy import min_entropy_iid, min_entropy_nonlinear, solve_g_star
-from triqrng.gaussian import gaussian_extract, msb_truncate, output_precision
+from triqrng.gaussian import (
+    RecursiveMatrix,
+    bit_reversal_permutation,
+    grid_step,
+    mix_pools,
+    msb_truncate,
+    output_precision,
+    precision_from_report,
+    scaled_hadamard,
+)
 from triqrng.pipeline import Pipeline, run_pipeline
 from triqrng.rayleigh import phase_uniform, rayleigh_raw, savitzky_golay, smooth_histogram
 from triqrng.service import RandomService
 from triqrng.source import lo_power_sweep, simulate_quadratures
 from triqrng.stats import bit_tests, chi2_sf, chi2_test, ks_test, monobit_test, runs_test
 from triqrng.toeplitz import (
-    ADMISSIBLE_PRIMES,
     ToeplitzExtractor,
     ToeplitzSeed,
     dodis_extract,
+    is_admissible,
     toeplitz_extract,
 )
 
@@ -124,7 +133,7 @@ def test_c03_leftover_hash_desk_proof():
 
 def test_c04_dodis_against_naive_convolution():
     rng = np.random.default_rng(4)
-    primes = [p for p in ADMISSIBLE_PRIMES if p <= 61]
+    primes = [p for p in range(62) if is_admissible(p)]
     assert primes == [3, 5, 11, 13, 19, 29, 37, 53, 59, 61]
     trials = 10_000
     for n in primes:
@@ -172,6 +181,10 @@ def test_c07_gaussian_extractor_table_pattern(preset_pipeline, preset_report):
     model = cfg.noise_model()
     count = 15 * 65536
     m_bits = 11
+    m_ext = precision_from_report(preset_report)
+    n_out = output_precision(m_ext, 4)
+    perm = bit_reversal_permutation(65536)
+    matrix = RecursiveMatrix(scaled_hadamard(4))
     trials_pass = 0
     raw_ps = []
     for trial_seed in range(100, 2100, 100):
@@ -183,12 +196,12 @@ def test_c07_gaussian_extractor_table_pattern(preset_pipeline, preset_report):
             p_chi = chi2_test(trunc, "gaussian", n_bins=256).p_value
             raw_ps.extend([p_ks, p_chi])
             assert p_ks < 1e-6 and p_chi < 1e-6
-        result = gaussian_extract(codes_i, codes_q, preset_report, passes_i=5, passes_q=4)
-        assert result.i.passes == 5 and result.q.passes == 4
-        ok = all(
-            rep.p_value >= 0.01
-            for rep in (result.i.gof_ks, result.i.gof_chi2, result.q.gof_ks, result.q.gof_chi2)
-        )
+        ok = True
+        for codes, passes in ((codes_i, 5), (codes_q, 4)):
+            out = mix_pools(msb_truncate(codes, m_ext), perm, matrix, passes, n_out)
+            probe = out[:100_000] * grid_step(n_out)
+            ok &= ks_test(probe, "gaussian").p_value >= 0.01
+            ok &= chi2_test(probe, "gaussian", n_bins=64).p_value >= 0.01
         trials_pass += ok
     assert trials_pass >= 18
     _ok(7, f"raw fails (max p {max(raw_ps):.2e}); extracted passes alpha=0.01 in {trials_pass}/20 trials")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from triqrng.bits import BitBlock, codes_to_bits, concat_blocks
+from triqrng.bits import BitBlock, codes_to_bits
 
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
@@ -35,12 +35,6 @@ def test_xor_is_bitwise():
     a = BitBlock.from_bits(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
     b = BitBlock.from_bits(np.array([0, 0, 1, 0, 1], dtype=np.uint8))
     assert list((a ^ b).bits()) == [1, 0, 0, 1, 1]
-
-
-def test_concat_blocks():
-    a = BitBlock.from_bits(np.array([1, 1, 0], dtype=np.uint8))
-    b = BitBlock.from_bits(np.array([0, 1], dtype=np.uint8))
-    assert list(concat_blocks([a, b]).bits()) == [1, 1, 0, 0, 1]
 
 
 def test_codes_to_bits_offset_binary_msb_first():

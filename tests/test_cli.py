@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ def test_extract_rayleigh_histogram_mode(fast_ini, tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0] == "bin_center,count,smoothed"
     assert len(lines) == 257
+
+
+def test_extract_order_zero_overrides_the_config(fast_ini, tmp_path):
+    outs = {}
+    for name, args in (("default", []), ("flag", ["--order", "0"])):
+        outs[name] = str(tmp_path / f"{name}.f32")
+        assert main(["-c", fast_ini, "extract", "--type", "rayleigh", "--blocks", "64",
+                     "--out", outs[name], *args]) == 0
+    ini = str(tmp_path / "order0.ini")
+    write_config(replace(load_config(fast_ini), sg_order=0), ini)
+    outs["ini"] = str(tmp_path / "ini.f32")
+    assert main(["-c", ini, "extract", "--type", "rayleigh", "--blocks", "64", "--out", outs["ini"]]) == 0
+    data = {name: open(path, "rb").read() for name, path in outs.items()}
+    assert data["flag"] == data["ini"]
+    assert data["flag"] != data["default"]
+
+
+def test_extract_rejects_a_bad_smoothing_override(fast_ini, tmp_path, capsys):
+    out = str(tmp_path / "r.f32")
+    rc = main(["-c", fast_ini, "extract", "--type", "rayleigh", "--blocks", "8", "--out", out, "--window", "4"])
+    assert rc == 2
+    assert "sg_window must be a positive odd integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_test_subcommand_on_bits(fast_ini, tmp_path, capsys):

@@ -7,7 +7,8 @@ from triqrng.gaussian import (
     GaussianPool,
     RecursiveMatrix,
     bit_reversal_permutation,
-    gaussian_extract,
+    grid_step,
+    mix_pools,
     msb_truncate,
     normalize_pool,
     output_precision,
@@ -16,7 +17,7 @@ from triqrng.gaussian import (
     scaled_hadamard,
     wallace_pass,
 )
-from triqrng.stats import ks_test
+from triqrng.stats import chi2_test, ks_test
 
 SPEC16 = AdcSpec(bits=16, range_v=0.128)
 
@@ -198,19 +199,20 @@ def test_gaussian_extract_end_to_end():
     rng = np.random.default_rng(9)
     sigma_code = 1500.0
     raw = np.clip(np.round(rng.standard_normal(3 * 65536) * sigma_code), -32768, 32767)
-    blk_i = codeblock(raw.astype(np.int64))
-    blk_q = codeblock(raw[::-1].astype(np.int64))
-    result = gaussian_extract(blk_i, blk_q, dummy_report(0.70), passes_i=5, passes_q=4,
-                              pool_size=65536)
-    assert result.i.n_out == 14
-    assert result.i.m_bits == 11
-    assert result.i.passes == 5 and result.q.passes == 4
-    assert result.i.codes.size == 3 * 65536
-    assert result.i.gof_ks.p_value > 0.01
-    assert result.i.gof_chi2.p_value > 0.01
+    m_bits = precision_from_report(dummy_report(0.70))
+    n_out = output_precision(m_bits, 4)
+    assert (m_bits, n_out) == (11, 14)
+    perm = bit_reversal_permutation(65536)
+    matrix = RecursiveMatrix(scaled_hadamard(4))
+    codes_i = mix_pools(msb_truncate(codeblock(raw.astype(np.int64)), m_bits), perm, matrix, 5, n_out)
+    codes_q = mix_pools(msb_truncate(codeblock(raw[::-1].astype(np.int64)), m_bits), perm, matrix, 4, n_out)
+    assert codes_i.size == codes_q.size == 3 * 65536
+    probe = codes_i[:100_000] * grid_step(n_out)
+    assert ks_test(probe, "gaussian").p_value > 0.01
+    assert chi2_test(probe, "gaussian", n_bins=64).p_value > 0.01
 
 
 def test_gaussian_extract_rejects_zero_passes():
-    blk = codeblock(np.zeros(65536, dtype=np.int64))
+    truncated = msb_truncate(codeblock(np.arange(-32768, 32768, dtype=np.int64)), 11)
     with pytest.raises(ValueError):
-        gaussian_extract(blk, blk, dummy_report(0.70), passes_i=0, passes_q=4)
+        mix_pools(truncated, bit_reversal_permutation(65536), RecursiveMatrix(scaled_hadamard(4)), 0, 14)

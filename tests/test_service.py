@@ -225,6 +225,7 @@ def test_lo_power_drop_stops_uniform_service_but_not_shaped_output():
         assert "uniform output stopped" in json.loads(body)["error"]
         health = json.loads(_get(svc.port, "/health")[2])
         assert health["certified"] is False
+        assert health["status"] == "degraded"
         assert not svc._pending_uniform
         left = health["buffer_fill"]["uniform"]  # released before the stop: still served
         if left:
