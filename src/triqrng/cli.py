@@ -15,9 +15,9 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .adc import quantize
+from .adc import CodeBlock, quantize
 from .config import PipelineConfig, default_config, load_config, write_config
-from .pipeline import bench, certify, run_pipeline
+from .pipeline import StartupError, bench, certify, channel_report, record_windows, run_pipeline
 from .service import encode_gaussian, encode_rayleigh, serve
 from .source import simulate_quadratures, write_frame_csv, write_frame_raw
 from .stats import bit_tests, chi2_test, ks_test
@@ -53,25 +53,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_certify(args) -> int:
     cfg = _config_from(args)
     file_args = (args.i_file, args.q_file, args.bg_i_file, args.bg_q_file)
-    if any(file_args):
-        if not all(file_args):
-            print("certify from files needs all of --i, --q, --bg-i, --bg-q", file=sys.stderr)
-            return 2
-        from .adc import CodeBlock, dequantize
-        from .pipeline import certify_channel
-
-        spec = cfg.adc_spec()
-        try:
-            i, q, bg_i, bg_q = [dequantize(CodeBlock.fromfile(path, spec).codes, spec) for path in file_args]
-        except ValueError as err:
-            print(f"certify: {err}", file=sys.stderr)
-            return 2
-        reports = {
-            "i": certify_channel("i", i, bg_i, cfg),
-            "q": certify_channel("q", q, bg_q, cfg),
-        }
-    else:
-        reports = certify(cfg)
+    if any(file_args) and not all(file_args):
+        print("certify from files needs all of --i, --q, --bg-i, --bg-q", file=sys.stderr)
+        return 2
+    try:
+        if any(file_args):
+            i, q, bg_i, bg_q = [CodeBlock.fromfile(path, cfg.adc_spec()).codes for path in file_args]
+            background = {ch: w.psd() for ch, w in record_windows(cfg, zip("iq", (bg_i, bg_q))).items()}
+            windows = record_windows(cfg, zip("iq", (i, q)))
+            reports = {ch: channel_report(ch, w, background[ch], cfg) for ch, w in windows.items()}
+        else:
+            reports = certify(cfg)
+    except ValueError as err:  # bad code files, or records the bound cannot be evaluated on
+        print(f"certify: {err}", file=sys.stderr)
+        return 2
     payload = {ch: asdict(r) for ch, r in reports.items()}
     text = json.dumps(payload, indent=2)
     if args.json_out:
@@ -236,7 +231,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_init_config)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except StartupError as err:
+        print(f"{args.cmd}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

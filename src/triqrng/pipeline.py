@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -39,12 +40,13 @@ from .gaussian import (
     scaled_hadamard,
 )
 from .rayleigh import rayleigh_raw, savitzky_golay
-from .source import WelchAccumulator, psd_estimate, simulate_quadratures
+from .source import NoiseModel, WelchAccumulator, simulate_quadratures
 from .toeplitz import BitSource, ToeplitzExtractor, ToeplitzSeed, obtain_seed
 
 log = logging.getLogger(__name__)
 
 PSD_FLOOR_FRACTION = 1e-12
+BATCH_BLOCKS = 512  # per-channel blocks per batch made by run_pipeline, bench and the service
 
 
 class StartupError(RuntimeError):
@@ -94,50 +96,44 @@ def channel_report(
     )
 
 
-def certify_channel(
-    channel: str,
-    total_volts: np.ndarray,
-    background_volts: np.ndarray,
-    config: PipelineConfig,
-) -> EntropyReport:
-    """Certify one channel from one digitized record plus an LO-off background."""
-    total = WelchAccumulator(config.psd_segment, sample_rate_hz=config.sample_rate_hz)
-    total.feed(total_volts)
-    psd_bg = psd_estimate(background_volts, config.psd_segment, config.sample_rate_hz)
-    return channel_report(channel, total, psd_bg, config)
+def record_windows(config: PipelineConfig, record: Iterable[tuple[str, np.ndarray]]
+                   ) -> dict[str, WelchAccumulator]:
+    """Per-channel trailing Welch windows of `certify_samples`, opened on one
+    digitized record given as (channel, ADC codes) pairs."""
+    spec = config.adc_spec()
+    windows = {}
+    for channel, codes in record:
+        # drop each channel's codes and volts before the next pair is taken:
+        # with a lazy `record` the startup peak holds one channel at a time
+        volts = dequantize(codes, spec)
+        del codes
+        windows[channel] = WelchAccumulator(config.psd_segment, config.certify_samples, config.sample_rate_hz)
+        windows[channel].feed(volts)
+        del volts
+    return windows
+
+
+def _simulated_windows(config: PipelineConfig, model: NoiseModel, prng_seed: int
+                       ) -> dict[str, WelchAccumulator]:
+    """`record_windows` of a simulated record of `certify_samples` samples."""
+    spec = config.adc_spec()
+    frame = simulate_quadratures(model, config.certify_samples, prng_seed, config.sample_rate_hz)
+    return record_windows(config, ((channel, quantize_channel(volts, spec).codes)
+                                   for channel, volts in (("i", frame.i_samples), ("q", frame.q_samples))))
 
 
 def background_psd(config: PipelineConfig) -> dict[str, np.ndarray]:
     """Welch PSD per channel of a simulated, digitized LO-off background record."""
-    spec = config.adc_spec()
     bg_model = replace(config.noise_model(), sigma_q2=0.0, lo_power_mw=0.0, responsivity=None)
-    bg = simulate_quadratures(bg_model, config.certify_samples, config.prng_seed + 10_000,
-                              config.sample_rate_hz)
-    return {
-        channel: psd_estimate(dequantize(quantize_channel(back, spec).codes, spec),
-                              config.psd_segment, config.sample_rate_hz)
-        for channel, back in (("i", bg.i_samples), ("q", bg.q_samples))
-    }
+    windows = _simulated_windows(config, bg_model, config.prng_seed + 10_000)
+    return {channel: window.psd() for channel, window in windows.items()}
 
 
-def certify(config: PipelineConfig, background: dict[str, np.ndarray] | None = None
-            ) -> dict[str, EntropyReport]:
-    """Simulate a measurement record and certify both channels.
-
-    `background` holds the per-channel LO-off PSDs of `background_psd`;
-    they are simulated when it is None.
-    """
-    if background is None:
-        background = background_psd(config)
-    spec = config.adc_spec()
-    frame = simulate_quadratures(config.noise_model(), config.certify_samples, config.prng_seed,
-                                 config.sample_rate_hz)
-    reports = {}
-    for channel, tot in (("i", frame.i_samples), ("q", frame.q_samples)):
-        total = WelchAccumulator(config.psd_segment, sample_rate_hz=config.sample_rate_hz)
-        total.feed(dequantize(quantize_channel(tot, spec).codes, spec))
-        reports[channel] = channel_report(channel, total, background[channel], config)
-    return reports
+def certify(config: PipelineConfig) -> dict[str, EntropyReport]:
+    """Simulate the startup record and its LO-off background and certify both channels."""
+    background = background_psd(config)
+    windows = _simulated_windows(config, config.noise_model(), config.prng_seed)
+    return {ch: channel_report(ch, w, background[ch], config) for ch, w in windows.items()}
 
 
 def rayleigh_amplitudes(i_vals: np.ndarray, q_vals: np.ndarray, window: int, order: int) -> np.ndarray:
@@ -158,35 +154,30 @@ class BlockBatch:
     """One batch of per-channel outputs from the streaming engine."""
 
     uniform: bytes                      # interleaved I/Q extracted blocks, packed
-    uniform_bits: int
     gaussian_i: np.ndarray              # fixed-point codes (may be empty until a pool fills)
     gaussian_q: np.ndarray
     rayleigh: np.ndarray                # float32 denoised-raw amplitudes
-    raw_samples_consumed: int
 
 
 class Pipeline:
     """Block-streaming engine bound to one config.
 
-    Startup certifies both channels from a simulated record plus an LO-off
-    background and provisions (or loads) the Toeplitz seed; the block
-    geometry is validated against the leftover-hash budget of the worst
-    channel before any extraction happens. The background PSD is kept:
-    every later certification is of the stream itself.
-
-    Every batch that asks for uniform output feeds its dequantized I/Q
-    codes to a per-channel trailing Welch window of `certify_samples`
-    samples. Once that window has filled, it is certified before the
-    batch's uniform bytes are returned (until then the startup
-    certification covers the batch). A window whose budget falls below
-    `block_m` stops uniform output for good, and a window whose precision
-    rule gives fewer Gaussian input bits than startup stops Gaussian
-    output for good; each stopped type is named in `stopped` with the
-    reason. Batches that ask for uniform output after it stopped still
-    feed and certify the windows, so the Gaussian check goes on. A stream
-    report is appended to `reports` when at least `recertify_every`
-    blocks have passed since the last one, and always when it stops an
-    output.
+    Startup simulates an LO-off background record, whose Welch PSD is
+    kept, and a startup record, which opens the per-channel trailing Welch
+    windows of `certify_samples` samples; every batch that asks for
+    uniform output feeds its dequantized I/Q codes to the same windows.
+    One routine closes and judges them: at startup, where a worst-channel
+    budget below `block_m` or a window the bound cannot be evaluated on
+    raises StartupError before the Toeplitz seed is provisioned (or
+    loaded), and before each such batch's uniform bytes are returned. A
+    stream window whose budget falls below `block_m` stops uniform output
+    for good, and one whose precision rule gives fewer Gaussian input bits
+    than startup stops Gaussian output for good; each stopped type is
+    named in `stopped` with the reason. Batches that ask for uniform
+    output after it stopped still feed and certify the windows, so the
+    Gaussian check goes on. A stream report is appended to `reports` when
+    at least `recertify_every` blocks have passed since the last one, and
+    always when it stops an output.
     """
 
     def __init__(self, config: PipelineConfig, seed_cache_path: str | None = None):
@@ -197,23 +188,12 @@ class Pipeline:
         self.raw_samples_consumed = 0
         self.blocks_since_report = 0
         self.stopped: dict[str, str] = {}
-        self._stream_seed = config.prng_seed
         self._chunk_index = 0
 
         self._background = background_psd(config)
-        self.reports: list[dict[str, EntropyReport]] = [certify(config, self._background)]
-        worst = min(self.reports[0].values(), key=lambda r: r.h_min_per_bit)
-        budget = extractable_length(config.block_n, worst.h_min_per_bit, config.epsilon)
-        if config.block_m > budget:
-            raise StartupError(
-                f"block_m={config.block_m} exceeds the leftover-hash budget "
-                f"{budget} for certified h_min_per_bit={worst.h_min_per_bit:.4f} "
-                f"at epsilon={config.epsilon:g}"
-            )
-        self._windows = {
-            channel: WelchAccumulator(config.psd_segment, config.certify_samples, config.sample_rate_hz)
-            for channel in ("i", "q")
-        }
+        self._windows = _simulated_windows(config, self.model, config.prng_seed)
+        self.reports: list[dict[str, EntropyReport]] = []
+        self._close_windows()
 
         self.seed = self._provision_seed(seed_cache_path)
         self._extractor = ToeplitzExtractor(self.seed)
@@ -223,7 +203,6 @@ class Pipeline:
                 raise StartupError(f"inline matrix is {self._matrix.k}x{self._matrix.k}, config k={config.k}")
         else:
             self._matrix = RecursiveMatrix(scaled_hadamard(config.k))
-        self._m_bits = precision_from_report(worst)
         self.n_out = output_precision(self._m_bits, config.k)
         self._perm = bit_reversal_permutation(config.pool_size)
         self._pool_buf: dict[str, np.ndarray] = {
@@ -246,38 +225,51 @@ class Pipeline:
 
         return obtain_seed(BitSource(raw_blocks()), cfg.block_n, cfg.block_m, cache_path)
 
-    # -- stream certification ----------------------------------------------
+    # -- certification -----------------------------------------------------
 
     def _stop_output(self, output: str, reason: str) -> None:
         if output not in self.stopped:
             self.stopped[output] = reason
             log.warning("%s output stopped: %s", output, reason)
 
-    def _certify_window(self, codes_i: CodeBlock, codes_q: CodeBlock) -> None:
-        """Feed this batch to the trailing windows and certify them once full."""
+    def _close_windows(self) -> None:
+        """Certify the trailing windows as they stand and judge the reports.
+
+        The first close is the startup certification: it fixes the Gaussian
+        input precision, and any failure raises StartupError. A later close
+        stops each output it no longer covers.
+        """
         cfg = self.config
-        for channel, codes in (("i", codes_i), ("q", codes_q)):
-            self._windows[channel].feed(dequantize(codes.codes, self.spec))
-        if not self._windows["i"].filled:
-            return
+        startup = not self.reports
+        reports = None
+        failures: dict[str, str] = {}
         try:
             reports = {ch: channel_report(ch, w, self._background[ch], cfg) for ch, w in self._windows.items()}
         except ValueError as err:  # a window the bound cannot be evaluated on certifies nothing
-            for output in ("uniform", "gaussian"):
-                self._stop_output(output, f"stream certification failed: {err}")
+            failures = dict.fromkeys(("uniform", "gaussian"), f"certification failed: {err}")
+        else:
+            worst = min(reports.values(), key=lambda r: r.h_min_per_bit)
+            budget = (extractable_length(cfg.block_n, worst.h_min_per_bit, cfg.epsilon)
+                      if worst.h_min_per_bit > 0 else 0)
+            m_bits = precision_from_report(worst)
+            if startup:
+                self._m_bits = m_bits
+            if budget < cfg.block_m:
+                failures["uniform"] = (f"window leftover-hash budget {budget} < block_m={cfg.block_m} "
+                                       f"(h_min_per_bit={worst.h_min_per_bit:.4f}, epsilon={cfg.epsilon:g})")
+            if m_bits < self._m_bits:
+                failures["gaussian"] = (f"window gives {m_bits} Gaussian input bits, "
+                                        f"{self._m_bits} certified at startup")
+        if startup:
+            if failures:
+                raise StartupError("startup " + "; ".join(dict.fromkeys(failures.values())))
+            self.reports.append(reports)
             return
-        worst = min(reports.values(), key=lambda r: r.h_min_per_bit)
-        budget = (extractable_length(cfg.block_n, worst.h_min_per_bit, cfg.epsilon)
-                  if worst.h_min_per_bit > 0 else 0)
-        m_bits = precision_from_report(worst)
         stopped_before = len(self.stopped)
-        if budget < cfg.block_m:
-            self._stop_output("uniform", f"stream window budget {budget} < block_m={cfg.block_m} "
-                                         f"(h_min_per_bit={worst.h_min_per_bit:.4f})")
-        if m_bits < self._m_bits:
-            self._stop_output("gaussian", f"stream window gives {m_bits} Gaussian input bits, "
-                                          f"{self._m_bits} certified at startup")
-        if len(self.stopped) > stopped_before or self.blocks_since_report >= cfg.recertify_every:
+        for output, reason in failures.items():
+            self._stop_output(output, f"stream {reason}")
+        logged = len(self.stopped) > stopped_before or self.blocks_since_report >= cfg.recertify_every
+        if reports is not None and logged:
             self.reports.append(reports)
             self.blocks_since_report = 0
 
@@ -285,7 +277,7 @@ class Pipeline:
 
     def _next_codes(self, n_blocks: int) -> tuple[CodeBlock, CodeBlock]:
         count = n_blocks * self.samples_per_block
-        frame = simulate_quadratures(self.model, count, self._stream_seed + 1_000_000 + self._chunk_index,
+        frame = simulate_quadratures(self.model, count, self.config.prng_seed + 1_000_000 + self._chunk_index,
                                      self.config.sample_rate_hz)
         self._chunk_index += 1
         self.raw_samples_consumed += 2 * count
@@ -327,7 +319,9 @@ class Pipeline:
         gauss_q = np.zeros(0, dtype=np.int64)
         ray = np.zeros(0, dtype=np.float32)
         if "uniform" in want:
-            self._certify_window(codes_i, codes_q)
+            for channel, codes in (("i", codes_i), ("q", codes_q)):
+                self._windows[channel].feed(dequantize(codes.codes, self.spec))
+            self._close_windows()
             if "uniform" not in self.stopped:
                 uniform = self._extract_uniform(codes_i, codes_q, n_blocks)
         gaussian = "gaussian" in want and "gaussian" not in self.stopped
@@ -341,11 +335,9 @@ class Pipeline:
             ray = rayleigh_amplitudes(trunc_i + 0.5, trunc_q + 0.5, cfg.sg_window, cfg.sg_order)
         return BlockBatch(
             uniform=uniform,
-            uniform_bits=len(uniform) * 8,
             gaussian_i=gauss_i,
             gaussian_q=gauss_q,
             rayleigh=ray,
-            raw_samples_consumed=self.raw_samples_consumed,
         )
 
 
@@ -366,7 +358,7 @@ def run_pipeline(
     duration_blocks: int,
     want: set[str] = frozenset({"uniform", "gaussian", "rayleigh"}),
     seed_cache_path: str | None = None,
-    batch_blocks: int = 512,
+    batch_blocks: int = BATCH_BLOCKS,
 ) -> PipelineRun:
     """Run the streaming engine for a fixed number of per-channel blocks."""
     if duration_blocks <= 0:
@@ -401,28 +393,23 @@ def run_pipeline(
 def bench(config: PipelineConfig, seconds: float = 2.0) -> dict:
     """Production-path throughput with warm-up excluded, as a JSON-safe dict.
 
-    Times `process_blocks(512)` on all three types, the batch that
-    `run_pipeline` and the service fill make. Warm-up runs such batches
-    until the stream certification windows have filled, so every timed
-    batch pays for its own window.
+    Times `process_blocks(BATCH_BLOCKS)` on all three types, the batch
+    that `run_pipeline` and the service fill make; every batch closes its
+    own certification window. Pipeline startup is not timed.
     """
     if seconds <= 0:
         raise ValueError("seconds must be positive")
-    batch = 512
     pipe = Pipeline(config)
-    while not pipe._windows["i"].filled:
-        pipe.process_blocks(batch)
-
     t_end = time.perf_counter() + seconds
     blocks = 0
-    uniform_bits = 0
+    uniform_bytes = 0
     gauss_values = 0
     t0 = time.perf_counter()
     while time.perf_counter() < t_end:
-        b = pipe.process_blocks(batch)
-        uniform_bits += b.uniform_bits
+        b = pipe.process_blocks(BATCH_BLOCKS)
+        uniform_bytes += len(b.uniform)
         gauss_values += b.gaussian_i.size + b.gaussian_q.size
-        blocks += batch
+        blocks += BATCH_BLOCKS
     elapsed = time.perf_counter() - t0
     raw_samples = blocks * pipe.samples_per_block * 2
     return {
@@ -430,6 +417,6 @@ def bench(config: PipelineConfig, seconds: float = 2.0) -> dict:
         "blocks": blocks,
         "raw_samples_per_s": raw_samples / elapsed,
         "raw_bits_per_s": raw_samples * pipe.spec.bits / elapsed,
-        "uniform_bits_per_s": uniform_bits / elapsed,
+        "uniform_bits_per_s": 8 * uniform_bytes / elapsed,
         "gaussian_values_per_s": gauss_values / elapsed,
     }

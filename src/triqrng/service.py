@@ -36,7 +36,7 @@ import numpy as np
 
 from .bits import BitBlock
 from .config import PipelineConfig
-from .pipeline import Pipeline
+from .pipeline import BATCH_BLOCKS, Pipeline
 from .stats import MIN_BITS, bit_tests
 
 log = logging.getLogger(__name__)
@@ -141,7 +141,6 @@ class RandomService:
 
     def _produce(self) -> None:
         assert self.pipeline is not None
-        batch_blocks = 512
         while not self._stop.is_set():
             # materialize only the types whose buffers are below capacity
             # (pure routing); consume no raw samples when every buffer is full
@@ -152,7 +151,7 @@ class RandomService:
                 continue
             if "uniform" in self.pipeline.stopped and "gaussian" not in self.pipeline.stopped:
                 want.add("uniform")  # no output, but the stream windows keep checking Gaussian precision
-            batch = self.pipeline.process_blocks(batch_blocks, want=want)
+            batch = self.pipeline.process_blocks(BATCH_BLOCKS, want=want)
             pending = self._pending_uniform
             if "uniform" in self.pipeline.stopped:
                 pending.clear()  # held back from the gate, never to be served

@@ -191,25 +191,17 @@ class BitSource:
         return cat[:nbits]
 
 
-def seed_chain(source: BitSource, n: int, m: int, chunk_bits: int | None = None) -> ToeplitzSeed:
+def seed_chain(source: BitSource, n: int, m: int) -> ToeplitzSeed:
     """Assemble an n->m Toeplitz seed from raw entropy via Dodis extraction.
 
-    Each round draws two fresh raw blocks of an admissible prime length p
-    (the smallest admissible prime covering the remaining need, or covering
-    `chunk_bits` when given) and contributes dodis_extract(x, y) output
-    bits; chunks are concatenated until n + m - 1 seed bits exist.
+    Draws two fresh raw blocks of the smallest admissible prime length
+    p >= n + m - 1 and keeps the first n + m - 1 bits of dodis_extract(x, y).
     """
     need = n + m - 1
-    pieces: list[np.ndarray] = []
-    remaining = need
-    while remaining > 0:
-        p = next_admissible(remaining if chunk_bits is None else min(chunk_bits, remaining))
-        x = BitBlock.from_bits(source.take(p))
-        y = BitBlock.from_bits(source.take(p))
-        out = dodis_extract(x, y, min(p, remaining))
-        pieces.append(out.bits())
-        remaining -= out.len
-    return ToeplitzSeed(bits=BitBlock.from_bits(np.concatenate(pieces)), n=n, m=m)
+    p = next_admissible(need)
+    x = BitBlock.from_bits(source.take(p))
+    y = BitBlock.from_bits(source.take(p))
+    return ToeplitzSeed(bits=dodis_extract(x, y, need), n=n, m=m)
 
 
 # Seed cache layout: little-endian uint32 n, uint32 m, then the packed seed

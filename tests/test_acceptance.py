@@ -62,7 +62,7 @@ def test_c01_block_geometry(preset_pipeline):
     t0 = time.perf_counter()
     batch = preset_pipeline.process_blocks(1, want={"uniform"})
     elapsed = time.perf_counter() - t0
-    assert batch.uniform_bits == 2 * 1024  # 1024 bits per channel block
+    assert 8 * len(batch.uniform) == 2 * 1024  # 1024 bits per channel block
     assert len(batch.uniform) == 256
     assert elapsed < 1.0
     _ok(1, f"1024 uniform bits per 1536-bit block per channel ({elapsed*1e3:.0f} ms)")

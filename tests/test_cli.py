@@ -138,6 +138,15 @@ def test_extract_order_zero_overrides_the_config(fast_ini, tmp_path):
     assert data["flag"] != data["default"]
 
 
+def test_extract_rejects_a_geometry_the_startup_certification_refuses(fast_ini, tmp_path, capsys):
+    ini = str(tmp_path / "greedy.ini")
+    write_config(replace(load_config(fast_ini), block_m=1248), ini)
+    out = str(tmp_path / "bits.bin")
+    assert main(["-c", ini, "extract", "--type", "uniform", "--blocks", "8", "--out", out]) == 2
+    assert "block_m=1248" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_extract_rejects_a_bad_smoothing_override(fast_ini, tmp_path, capsys):
     out = str(tmp_path / "r.f32")
     rc = main(["-c", fast_ini, "extract", "--type", "rayleigh", "--blocks", "8", "--out", out, "--window", "4"])

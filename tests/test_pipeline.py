@@ -101,9 +101,9 @@ def test_stream_identity_pinned():
     cfg = fast_config(certify_samples=1 << 16, recertify_every=64, pool_size=4096)
     run = run_pipeline(cfg, duration_blocks=160, batch_blocks=32)
     gauss = run.gaussian_i.astype("<i8").tobytes() + run.gaussian_q.astype("<i8").tobytes()
-    # 160 blocks (15,360 samples per channel) never fill the 2^16-sample
-    # stream window, so the startup certification is the only report
-    assert len(run.reports) == 1
+    # the startup report, then one stream report per 64 blocks (two
+    # batches of 32); the windows close on every batch from the first
+    assert len(run.reports) == 3
     assert (len(run.uniform), run.gaussian_i.size, run.rayleigh.size) == (40960, 12288, 15360)
     assert hashlib.sha256(run.uniform).hexdigest() == (
         "679912cb16fbac8c0669d37869e888c42d09247a9bf5a2ab988bf3bb45ad8599")
@@ -119,6 +119,29 @@ def test_startup_gate_rejects_overcommitted_geometry():
         Pipeline(fast_config(block_n=1536, block_m=1248))
     msg = str(err.value)
     assert "block_m=1248" in msg and "budget" in msg
+
+
+def test_startup_window_the_bound_cannot_be_evaluated_on_is_refused():
+    # no excess noise and a one-tap filter: the conditional quantum
+    # variance exceeds the measured one, so no effective photon number exists
+    with pytest.raises(StartupError, match="certification failed"):
+        Pipeline(fast_config(sigma_e2=0.0, filter_taps=(1.0,)))
+
+
+def test_every_uniform_batch_closes_the_startup_windows(monkeypatch):
+    calls = []
+    real = triqrng.pipeline.channel_report
+
+    def counted(channel, window, *args):
+        calls.append((channel, window))
+        return real(channel, window, *args)
+
+    monkeypatch.setattr(triqrng.pipeline, "channel_report", counted)
+    run_pipeline(PipelineConfig(), 4096, want={"uniform"})
+    # two at startup, then two for each of the eight 512-block batches,
+    # all on the same two windows
+    assert len(calls) == 18
+    assert len({id(window) for _, window in calls}) == 2
 
 
 def test_startup_gate_matches_extractable_length():
@@ -174,10 +197,10 @@ def test_lo_power_drop_stops_uniform_output_for_good():
     # window report can be checked against what the batch returned
     cfg = fast_config(certify_samples=1 << 17, recertify_every=1)
     pipe = Pipeline(cfg)
-    for _ in range(3):  # 49,152 samples per channel a batch: the window fills in batch 3
+    for _ in range(3):  # 49,152 samples per channel a batch, each closing its window
         batch = pipe.process_blocks(512, want={"uniform"})
         assert len(batch.uniform) == 512 * 2 * cfg.block_m // 8
-    assert len(pipe.reports) == 2 and _budget(pipe.reports[-1], cfg) >= cfg.block_m
+    assert len(pipe.reports) == 4 and _budget(pipe.reports[-1], cfg) >= cfg.block_m
     _lower_lo_power(pipe, 2)
     released = []
     for _ in range(8):
@@ -216,7 +239,7 @@ def test_window_that_cannot_be_certified_stops_uniform_and_gaussian(monkeypatch)
         raise ValueError("injected")
 
     monkeypatch.setattr(triqrng.pipeline, "effective_photon_number", no_bound)
-    assert len(pipe.process_blocks(512).uniform) > 0  # window not full yet: startup covers it
+    # the first batch already closes the window (startup record plus batch)
     batch = pipe.process_blocks(512)
     assert batch.uniform == b"" and batch.gaussian_i.size == 0 and batch.rayleigh.size > 0
     assert set(pipe.stopped) == {"uniform", "gaussian"}

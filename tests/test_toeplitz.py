@@ -206,11 +206,6 @@ def test_seed_chain_length_and_determinism():
     assert s1.bits != s3.bits
 
 
-def test_seed_chain_chunked_assembly():
-    s = seed_chain(_prng_source(10), 64, 32, chunk_bits=37)
-    assert s.bits.len == 95
-
-
 def test_seed_chain_exhaustion_error():
     one = [BitBlock.from_bits(np.ones(64, dtype=np.uint8))]
     with pytest.raises(RuntimeError, match="exhausted"):
