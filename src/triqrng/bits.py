@@ -68,12 +68,16 @@ def codes_to_bits(codes: np.ndarray, bits: int) -> BitBlock:
     Each code is converted to offset binary (code + 2^(bits-1)) and emitted
     MSB-first, so a block of k codes yields k*bits bits. The offset code is
     left-aligned in a big-endian uint32, whose first `bits` bits are then
-    the code's bits in order.
+    the code's bits in order. At 8 and 16 bits the big-endian offset codes
+    themselves are that stream and are emitted as they are; 24-bit codes
+    have no 3-byte integer type and take the general path.
     """
     codes = np.asarray(codes)
     offset = codes.astype(np.int64) + (1 << (bits - 1))
     if offset.min(initial=0) < 0 or offset.max(initial=0) >= (1 << bits):
         raise ValueError(f"codes out of range for {bits}-bit conversion")
+    if bits in (8, 16):
+        return BitBlock(offset.reshape(-1).astype(f">u{bits // 8}").view(np.uint8), codes.size * bits)
     words = (offset.reshape(-1) << (32 - bits)).astype(">u4")
     expanded = np.unpackbits(words.view(np.uint8).reshape(-1, 4), axis=1, count=bits)
     return BitBlock(np.packbits(expanded), codes.size * bits)

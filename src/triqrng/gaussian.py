@@ -106,13 +106,16 @@ def normalize_pool(values, k: int = DEFAULT_K) -> GaussianPool:
 
 
 def wallace_pass(pool: GaussianPool, matrix: RecursiveMatrix) -> GaussianPool:
-    """One pass: l group transforms, transpose regrouping, energy restore."""
+    """One pass: l group transforms, transpose regrouping, energy restore.
+
+    Row j of M @ V^T holds output j of every group, so the C-order
+    product is already the regrouped pool and needs no transposed copy.
+    """
     if matrix.k != pool.k:
         raise ValueError("matrix size must match the pool group size")
     v = pool.values
     ss0 = float(np.sum(v**2))
-    groups = v.reshape(pool.l, pool.k) @ matrix.entries.T
-    mixed = np.ascontiguousarray(groups.T).reshape(-1)
+    mixed = (matrix.entries @ v.reshape(pool.l, pool.k).T).reshape(-1)
     # orthogonality preserves the sum of squares up to float drift; restore exactly
     mixed *= np.sqrt(ss0 / float(np.sum(mixed**2)))
     return GaussianPool(values=mixed, k=pool.k, pass_count=pool.pass_count + 1)

@@ -9,6 +9,7 @@ Savitzky-Golay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,12 +21,17 @@ class PhaseResult:
 
 
 def rayleigh_raw(i_vals, q_vals) -> np.ndarray:
-    """Element-wise amplitude sqrt(I^2 + Q^2)."""
+    """Element-wise amplitude sqrt(I^2 + Q^2).
+
+    On half-integer codes below 2^25 in magnitude, the pipeline's
+    truncated codes + 0.5, I^2 + Q^2 is exact in float64, so each
+    amplitude is the correctly rounded square root.
+    """
     i = np.asarray(i_vals, dtype=np.float64)
     q = np.asarray(q_vals, dtype=np.float64)
     if i.shape != q.shape:
         raise ValueError("I and Q must have equal length")
-    return np.hypot(i, q)
+    return np.sqrt(i * i + q * q)
 
 
 def phase_uniform(i_vals, q_vals) -> PhaseResult:
@@ -51,6 +57,22 @@ def savitzky_golay_coefficients(window: int, order: int) -> np.ndarray:
     return np.linalg.pinv(design)[0]
 
 
+@lru_cache(maxsize=8)
+def _savitzky_golay_weights(window: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (convolution kernel, edge projector) for one (window, order).
+
+    The kernel is the central-point weights reversed for np.convolve; the
+    projector maps `window` samples onto their least-squares polynomial.
+    """
+    kernel = savitzky_golay_coefficients(window, order)[::-1].copy()
+    positions = np.arange(window, dtype=np.float64)
+    design = np.vander(positions, order + 1, increasing=True)
+    projector = design @ np.linalg.pinv(design)
+    kernel.flags.writeable = False
+    projector.flags.writeable = False
+    return kernel, projector
+
+
 def savitzky_golay(values, window: int = 31, order: int = 3) -> np.ndarray:
     """Local least-squares polynomial smoothing of a sample stream.
 
@@ -64,12 +86,9 @@ def savitzky_golay(values, window: int = 31, order: int = 3) -> np.ndarray:
         raise ValueError("expected a 1-d sequence")
     if y.size < window:
         raise ValueError(f"need at least window={window} samples, got {y.size}")
-    coeffs = savitzky_golay_coefficients(window, order)
+    kernel, projector = _savitzky_golay_weights(window, order)
     half = window // 2
-    out = np.convolve(y, coeffs[::-1], mode="same")
-    positions = np.arange(window, dtype=np.float64)
-    design = np.vander(positions, order + 1, increasing=True)
-    projector = design @ np.linalg.pinv(design)
+    out = np.convolve(y, kernel, mode="same")
     out[:half] = (projector @ y[:window])[:half]
     if half:
         out[-half:] = (projector @ y[-window:])[-half:]

@@ -16,6 +16,7 @@ import numpy as np
 
 TAP_NORM_TOL = 1e-6
 LINEARITY_TOL = 1e-9
+SEGMENTS_PER_FFT = 32  # Welch segments per batched FFT call; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,12 @@ class WelchAccumulator:
         step = length // 2
         nseg = (buf.size - length) // step + 1 if buf.size >= length else 0
         acc = np.zeros(length // 2 + 1)
-        for s in range(nseg):
-            seg = buf[s * step : s * step + length] * self._win
-            acc += np.abs(np.fft.rfft(seg)) ** 2
+        for s0 in range(0, nseg, SEGMENTS_PER_FFT):
+            s1 = min(s0 + SEGMENTS_PER_FFT, nseg)
+            segments = np.lib.stride_tricks.sliding_window_view(buf[s0 * step : (s1 + 1) * step], length)[::step]
+            power = np.abs(np.fft.rfft(segments * self._win, axis=1)) ** 2
+            for row in power:  # one row at a time, in segment order: the sum keeps its rounding
+                acc += row
         self._tail = buf[nseg * step :].copy()
         self._batches.append((x.size, float(x.mean()), float(np.var(x)), acc, nseg))
         self.n_samples += x.size

@@ -58,6 +58,17 @@ def test_codes_to_bits_matches_shift_matrix_oracle():
     assert codes_to_bits(np.zeros(0, dtype=np.int32), 16).len == 0
 
 
+@pytest.mark.parametrize("bits", range(4, 25))
+@given(data=st.data())
+def test_codes_to_bits_matches_per_bit_oracle(bits, data):
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    codes = data.draw(st.lists(st.integers(lo, hi), max_size=40))
+    expected = [((c - lo) >> b) & 1 for c in codes for b in range(bits - 1, -1, -1)]
+    block = codes_to_bits(np.array(codes, dtype=np.int64), bits)
+    assert block.len == len(expected)
+    assert block.packed.tobytes() == np.packbits(np.array(expected, dtype=np.uint8)).tobytes()
+
+
 def test_codes_to_bits_range_check():
     with pytest.raises(ValueError):
         codes_to_bits(np.array([8]), bits=4)

@@ -125,6 +125,28 @@ def test_wallace_pass_conserves_energy():
     assert abs(np.sum(out.values**2) / ss0 - 1.0) <= 1e-12
 
 
+def _transpose_pass(values: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # reference: transform each group of k, copy the transpose, restore energy
+    k = m.shape[0]
+    mixed = np.ascontiguousarray((values.reshape(-1, k) @ m.T).T).reshape(-1)
+    return mixed * np.sqrt(float(np.sum(values**2)) / float(np.sum(mixed**2)))
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("kind", ["hadamard", "random-orthogonal"])
+def test_wallace_pass_equals_transpose_form_bit_for_bit(k, kind):
+    rng = np.random.default_rng(100 + k)
+    m = scaled_hadamard(k) if kind == "hadamard" else np.linalg.qr(rng.standard_normal((k, k)))[0]
+    mat = RecursiveMatrix(m)
+    for _ in range(5):
+        pool = normalize_pool(rng.standard_normal(1 << 16), k=k)
+        ref = pool.values
+        for _ in range(3):
+            pool = wallace_pass(pool, mat)
+            ref = _transpose_pass(ref, m)
+            assert np.array_equal(pool.values, ref)
+
+
 def test_wallace_pass_second_moment_stays_one():
     rng = np.random.default_rng(3)
     pool = normalize_pool(rng.standard_normal(1 << 14), k=4)

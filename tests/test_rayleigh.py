@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from triqrng.rayleigh import (
+    _savitzky_golay_weights,
     phase_uniform,
     rayleigh_raw,
     savitzky_golay,
@@ -33,6 +36,27 @@ def test_amplitude_identity_exact():
     r = rayleigh_raw(i, q)
     rel = np.abs(r**2 - (i**2 + q**2)) / (i**2 + q**2)
     assert rel.max() <= 2.0**-40
+
+
+def _is_correctly_rounded_sqrt(r: float, s: Fraction) -> bool:
+    # r is the float nearest sqrt(s) when s lies between the squares of
+    # the midpoints from r to its two float neighbours
+    here = Fraction(r)
+    lo = (Fraction(np.nextafter(r, 0.0)) + here) / 2
+    hi = (here + Fraction(np.nextafter(r, np.inf))) / 2
+    return lo * lo <= s <= hi * hi
+
+
+def test_amplitudes_of_half_integer_codes_are_correctly_rounded():
+    # the pipeline's inputs: 11-bit truncated codes + 0.5, plus extremes
+    rng = np.random.default_rng(7)
+    ci = np.concatenate([[-1024, 1023, 0, -1], rng.integers(-1024, 1024, 20_000)])
+    cq = np.concatenate([[-1024, -1024, 1023, 0], rng.integers(-1024, 1024, 20_000)])
+    i, q = ci + 0.5, cq + 0.5
+    r = rayleigh_raw(i, q)
+    wrong = [k for k in range(r.size)
+             if not _is_correctly_rounded_sqrt(float(r[k]), Fraction(i[k]) ** 2 + Fraction(q[k]) ** 2)]
+    assert wrong == []
 
 
 def test_polar_roundtrip():
@@ -113,6 +137,39 @@ def test_savgol_validation():
         savitzky_golay(np.zeros(10), 31, 3)  # too short
     with pytest.raises(ValueError):
         savitzky_golay_coefficients(0, 0)
+
+
+def _fresh_savgol(y: np.ndarray, window: int, order: int) -> np.ndarray:
+    # reference: rebuild the weights and the edge projector on every call
+    half = window // 2
+    out = np.convolve(y, savitzky_golay_coefficients(window, order)[::-1], mode="same")
+    design = np.vander(np.arange(window, dtype=np.float64), order + 1, increasing=True)
+    projector = design @ np.linalg.pinv(design)
+    out[:half] = (projector @ y[:window])[:half]
+    if half:
+        out[-half:] = (projector @ y[-window:])[-half:]
+    return out
+
+
+@pytest.mark.parametrize("window, order", [(1, 0), (5, 2), (21, 3), (31, 3), (71, 5)])
+def test_savgol_cached_weights_equal_fresh_ones_bit_for_bit(window, order):
+    rng = np.random.default_rng(window)
+    kernel, projector = _savitzky_golay_weights(window, order)
+    design = np.vander(np.arange(window, dtype=np.float64), order + 1, increasing=True)
+    assert np.array_equal(kernel, savitzky_golay_coefficients(window, order)[::-1])
+    assert np.array_equal(projector, design @ np.linalg.pinv(design))
+    for _ in range(3):
+        y = rng.standard_normal(int(rng.integers(window, 5000)))
+        assert np.array_equal(savitzky_golay(y, window, order), _fresh_savgol(y, window, order))
+
+
+def test_savgol_cached_weights_are_read_only():
+    kernel, projector = _savitzky_golay_weights(31, 3)
+    with pytest.raises(ValueError):
+        kernel[0] = 0.0
+    with pytest.raises(ValueError):
+        projector[0, 0] = 0.0
+    assert _savitzky_golay_weights(31, 3)[0] is kernel
 
 
 def test_savgol_coefficients_sum_to_one():

@@ -260,3 +260,60 @@ def test_per_channel_excess_override():
     model = NoiseModel(sigma_q2=1.0, sigma_e2=0.1, sigma_e2_q=2.0)
     frame = simulate_quadratures(model, 400_000, prng_seed=14)
     assert np.var(frame.q_samples) > np.var(frame.i_samples) * 1.5
+
+
+class _LoopWelch(WelchAccumulator):
+    """Reference feed: one rfft per segment, added to the batch sum in order."""
+
+    def feed(self, samples) -> None:
+        x = np.asarray(samples, dtype=np.float64)
+        if x.size == 0:
+            return
+        buf = np.concatenate([self._tail, x]) if self._tail.size else x
+        length = self.segment_length
+        step = length // 2
+        nseg = (buf.size - length) // step + 1 if buf.size >= length else 0
+        acc = np.zeros(length // 2 + 1)
+        for s in range(nseg):
+            acc += np.abs(np.fft.rfft(buf[s * step : s * step + length] * self._win)) ** 2
+        self._tail = buf[nseg * step :].copy()
+        self._batches.append((x.size, float(x.mean()), float(np.var(x)), acc, nseg))
+        self.n_samples += x.size
+        while self.filled and self.n_samples - self._batches[0][0] >= self.window_samples:
+            self.n_samples -= self._batches.popleft()[0]
+
+
+def _assert_same_windows(fast: WelchAccumulator, ref: WelchAccumulator) -> None:
+    assert fast.n_samples == ref.n_samples and np.array_equal(fast._tail, ref._tail)
+    assert len(fast._batches) == len(ref._batches)
+    for a, b in zip(fast._batches, ref._batches):
+        assert a[0] == b[0] and a[4] == b[4] and np.array_equal(a[3], b[3])
+    assert np.array_equal(fast.psd(), ref.psd())
+
+
+@pytest.mark.parametrize("seg, window, max_batch", [
+    (8, None, 5),          # every batch shorter than a segment
+    (64, 2000, 40),        # batches shorter and longer than a segment, trailing window
+    (256, 5000, 3000),     # more than SEGMENTS_PER_FFT segments in one batch
+])
+def test_welch_batched_feed_equals_per_segment_loop_bit_for_bit(seg, window, max_batch):
+    rng = np.random.default_rng(seg)
+    x = simulate_quadratures(NoiseModel(sigma_q2=1.0, sigma_e2=0.3, filter_taps=LOWPASS_8),
+                             12_000, prng_seed=seg).i_samples
+    fast, ref = WelchAccumulator(seg, window), _LoopWelch(seg, window)
+    pos = 0
+    while pos < x.size:
+        n = int(rng.integers(1, max_batch + 1))
+        fast.feed(x[pos : pos + n])
+        ref.feed(x[pos : pos + n])
+        pos += n
+    _assert_same_windows(fast, ref)
+
+
+def test_welch_batched_feed_equals_per_segment_loop_on_a_startup_record():
+    x = simulate_quadratures(NoiseModel(sigma_q2=1.0, sigma_e2=0.3, filter_taps=LOWPASS_8),
+                             1 << 20, prng_seed=23).i_samples
+    fast, ref = WelchAccumulator(4096, 1 << 20), _LoopWelch(4096, 1 << 20)
+    fast.feed(x)
+    ref.feed(x)
+    _assert_same_windows(fast, ref)
