@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import weakref
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -108,6 +109,19 @@ class _ByteBuffer:
             return bytes(out)
 
 
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    service: RandomService
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def log_message(self, *args):  # quiet
+        pass
+
+    def do_GET(self):  # noqa: N802 (stdlib handler API)
+        self.server.service._handle(self)
+
+
 class RandomService:
     """Pipeline-backed bit server. start() returns once the port is bound."""
 
@@ -121,7 +135,7 @@ class RandomService:
         self.gate_results = 0
         cap = config.buffer_bytes
         self.buffers = {t: _ByteBuffer(cap) for t in CONTENT_TYPES}
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _Server | None = None
         self._threads: list[threading.Thread] = []
         self._pending_uniform = bytearray()
 
@@ -176,17 +190,10 @@ class RandomService:
     def start(self) -> None:
         self.pipeline = Pipeline(self.config)
         host, _, port = self.config.listen.rpartition(":")
-        service = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):  # quiet
-                pass
-
-            def do_GET(self):  # noqa: N802 (stdlib handler API)
-                service._handle(self)
-
-        self._httpd = ThreadingHTTPServer((host or "127.0.0.1", int(port or 0)), Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host or "127.0.0.1", int(port or 0)), _Handler)
+        # a weak back-reference: no cycle keeps a dropped service (and its
+        # pipeline's memory) alive until the next cyclic garbage collection
+        self._httpd.service = weakref.proxy(self)
         t = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         t.start()
         self._threads.append(t)

@@ -1,5 +1,7 @@
+import gc
 import json
 import time
+import weakref
 from dataclasses import replace
 import urllib.error
 import urllib.request
@@ -150,6 +152,23 @@ def test_gate_discards_failed_buffers_and_503():
         assert status == 503
     finally:
         svc.stop()
+
+
+def test_stopped_service_is_freed_without_the_cycle_collector():
+    # a service restarted in one process must not hold the old pipeline's
+    # arrays until a garbage collection that comes at no set time
+    svc = RandomService(service_config())
+    svc.start()
+    assert _get(svc.port, "/random?type=uniform&bytes=64")[0] == 200
+    svc.stop()
+    service_ref, pipeline_ref = weakref.ref(svc), weakref.ref(svc.pipeline)
+    gc.disable()
+    try:
+        del svc
+        assert service_ref() is None
+        assert pipeline_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_backpressure_pauses_the_producer():
