@@ -8,7 +8,7 @@ bit-serving HTTP endpoint.
 
 from .adc import AdcSpec, CodeBlock, dequantize, dnl_profile, quantize, quantize_channel
 from .bits import BitBlock, codes_to_bits
-from .config import PipelineConfig, default_config, load_config, write_config
+from .config import ConfigError, PipelineConfig, default_config, load_config, write_config
 from .entropy import (
     EntropyReport,
     conditional_variance,

@@ -30,8 +30,8 @@ class AdcSpec:
             raise ValueError("bits must be in [4, 24]")
         if self.range_v <= 0:
             raise ValueError("range_v must be positive")
-        if self.dnl_max < 0:
-            raise ValueError("dnl_max must be >= 0")
+        if not 0 <= self.dnl_max < 0.5:
+            raise ValueError("dnl_max must be in [0, 0.5): 0.5 or more can invert bins")
 
     @property
     def bin_width(self) -> float:
@@ -88,8 +88,6 @@ def dnl_profile(spec: AdcSpec) -> np.ndarray:
     Deterministic in dnl_seed; every |offset| <= dnl_max * bin width, and
     the perturbed edges stay strictly increasing.
     """
-    if spec.dnl_max >= 0.5:
-        raise ValueError("dnl_max >= 0.5 can invert bins; rejected")
     n_edges = (1 << spec.bits) - 1
     if spec.dnl_max == 0.0:
         return np.zeros(n_edges)

@@ -16,7 +16,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .adc import CodeBlock, quantize
-from .config import PipelineConfig, default_config, load_config, write_config
+from .config import ConfigError, PipelineConfig, default_config, load_config, write_config
+from .gaussian import grid_step
 from .pipeline import StartupError, bench, certify, channel_report, record_windows, run_pipeline
 from .service import encode_gaussian, encode_rayleigh, serve
 from .source import simulate_quadratures, write_frame_csv, write_frame_raw
@@ -79,11 +80,7 @@ def _cmd_certify(args) -> int:
 def _cmd_extract(args) -> int:
     cfg = _config_from(args)
     smoothing = {"sg_window": args.window, "sg_order": args.order}
-    try:
-        cfg = replace(cfg, **{key: value for key, value in smoothing.items() if value is not None})
-    except ValueError as err:
-        print(f"extract: {err}", file=sys.stderr)
-        return 2
+    cfg = replace(cfg, **{key: value for key, value in smoothing.items() if value is not None})
     run = run_pipeline(cfg, args.blocks, want={args.type}, seed_cache_path=args.seed_cache)
     if args.type == "rayleigh" and args.histogram_mode:
         return _write_rayleigh_histogram(run.rayleigh, cfg, args)
@@ -91,8 +88,8 @@ def _cmd_extract(args) -> int:
         data = run.uniform
     elif args.type == "gaussian":
         if args.format == "csv":
-            data = _csv_bytes(run.gaussian_i.astype(np.float64) * run.gaussian_grid_step,
-                              run.gaussian_q.astype(np.float64) * run.gaussian_grid_step)
+            step = grid_step(run.n_out)
+            data = _csv_bytes(run.gaussian_i.astype(np.float64) * step, run.gaussian_q.astype(np.float64) * step)
         else:
             data = encode_gaussian(run.gaussian_i, run.gaussian_q, run.n_out)
     else:
@@ -233,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except StartupError as err:
+    except (ConfigError, StartupError) as err:
         print(f"{args.cmd}: {err}", file=sys.stderr)
         return 2
 

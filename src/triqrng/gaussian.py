@@ -5,7 +5,8 @@ selection). Stage 2 is the recursive matrix method: the pool is normalized
 to unit mean square, then repeatedly transformed in groups of k by an
 orthogonal matrix, with a transpose-based regrouping between passes and a
 global sum-of-squares restoration per pass. Outputs are requantized to
-m + k - 1 bits on a symmetric grid.
+m + k - 1 bits on a symmetric grid over +-DEFAULT_GRID_SIGMA; m is capped
+so that width fits the 16-bit wire format.
 
 Pools are filled in bit-reversed index order. Detector-bandwidth
 correlation only spans a few samples; bit reversal guarantees that samples
@@ -27,6 +28,7 @@ from .entropy import EntropyReport
 ORTHO_TOL = 1e-12
 DEFAULT_K = 4
 DEFAULT_GRID_SIGMA = 5.0
+WIRE_BITS = 16  # Gaussian codes travel left-justified in int16
 
 
 def scaled_hadamard(k: int = DEFAULT_K) -> np.ndarray:
@@ -86,9 +88,10 @@ def msb_truncate(codes: CodeBlock, m_bits: int) -> np.ndarray:
 
 
 def precision_from_report(report: EntropyReport) -> int:
-    """Stage-1 decision rule: m = floor(h_min_per_bit * ADC bits)."""
+    """Stage-1 decision rule: m = floor(h_min_per_bit * ADC bits), capped so the
+    m + k - 1 output bits fit the wire format (fewer bits than certified is safe)."""
     m = int(np.floor(report.h_min_per_bit * report.adc_bits))
-    return max(1, min(m, report.adc_bits))
+    return max(1, min(m, report.adc_bits, WIRE_BITS + 1 - DEFAULT_K))
 
 
 def output_precision(m_bits: int, k: int) -> int:
@@ -133,15 +136,15 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
     return rev
 
 
-def requantize(values: np.ndarray, n_out: int, grid_sigma: float = DEFAULT_GRID_SIGMA) -> np.ndarray:
-    """Round to the nearest cell of a symmetric n_out-bit grid over +-grid_sigma."""
-    delta = 2.0 * grid_sigma / (1 << n_out)
+def requantize(values: np.ndarray, n_out: int) -> np.ndarray:
+    """Round to the nearest cell of a symmetric n_out-bit grid over +-DEFAULT_GRID_SIGMA."""
     lo, hi = -(1 << (n_out - 1)), (1 << (n_out - 1)) - 1
-    return np.clip(np.round(values / delta), lo, hi).astype(np.int64)
+    return np.clip(np.round(values / grid_step(n_out)), lo, hi).astype(np.int64)
 
 
-def grid_step(n_out: int, grid_sigma: float = DEFAULT_GRID_SIGMA) -> float:
-    return 2.0 * grid_sigma / (1 << n_out)
+def grid_step(n_out: int) -> float:
+    """Value of one n_out-bit output code step, in units of sigma."""
+    return 2.0 * DEFAULT_GRID_SIGMA / (1 << n_out)
 
 
 def mix_pools(
@@ -150,7 +153,6 @@ def mix_pools(
     matrix: RecursiveMatrix,
     passes: int,
     n_out: int,
-    grid_sigma: float = DEFAULT_GRID_SIGMA,
 ) -> np.ndarray:
     """Requantized n_out-bit codes of every whole pool of truncated codes.
 
@@ -167,5 +169,5 @@ def mix_pools(
         pool = normalize_pool(chunk.astype(np.float64)[perm], k=matrix.k)
         for _ in range(passes):
             pool = wallace_pass(pool, matrix)
-        outs.append(requantize(pool.values, n_out, grid_sigma))
+        outs.append(requantize(pool.values, n_out))
     return np.concatenate(outs) if outs else np.zeros(0, dtype=np.int64)

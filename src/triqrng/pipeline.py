@@ -30,9 +30,9 @@ from .entropy import (
     solve_g_star,
 )
 from .gaussian import (
+    DEFAULT_K,
     RecursiveMatrix,
     bit_reversal_permutation,
-    grid_step,
     mix_pools,
     msb_truncate,
     output_precision,
@@ -197,13 +197,8 @@ class Pipeline:
 
         self.seed = self._provision_seed(seed_cache_path)
         self._extractor = ToeplitzExtractor(self.seed)
-        if config.matrix is not None:
-            self._matrix = RecursiveMatrix(np.asarray(config.matrix, dtype=np.float64))
-            if self._matrix.k != config.k:
-                raise StartupError(f"inline matrix is {self._matrix.k}x{self._matrix.k}, config k={config.k}")
-        else:
-            self._matrix = RecursiveMatrix(scaled_hadamard(config.k))
-        self.n_out = output_precision(self._m_bits, config.k)
+        self._matrix = RecursiveMatrix(scaled_hadamard(DEFAULT_K))
+        self.n_out = output_precision(self._m_bits, DEFAULT_K)
         self._perm = bit_reversal_permutation(config.pool_size)
         self._pool_buf: dict[str, np.ndarray] = {
             "i": np.zeros(0, dtype=np.int64),
@@ -296,8 +291,7 @@ class Pipeline:
         buf = np.concatenate([self._pool_buf[channel], truncated])
         whole = buf.size - buf.size % self.config.pool_size
         self._pool_buf[channel] = buf[whole:]
-        return mix_pools(buf[:whole], self._perm, self._matrix, passes, self.n_out,
-                         self.config.output_grid_sigma)
+        return mix_pools(buf[:whole], self._perm, self._matrix, passes, self.n_out)
 
     def process_blocks(
         self,
@@ -350,7 +344,6 @@ class PipelineRun:
     reports: list[dict[str, EntropyReport]]
     raw_samples_consumed: int
     n_out: int
-    gaussian_grid_step: float
 
 
 def run_pipeline(
@@ -383,7 +376,6 @@ def run_pipeline(
         reports=pipe.reports,
         raw_samples_consumed=pipe.raw_samples_consumed,
         n_out=pipe.n_out,
-        gaussian_grid_step=grid_step(pipe.n_out, config.output_grid_sigma),
     )
 
 

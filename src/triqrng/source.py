@@ -52,7 +52,7 @@ class NoiseModel:
         energy = float(np.sum(taps**2))
         if abs(energy - 1.0) > TAP_NORM_TOL:
             raise ValueError(
-                f"filter taps must have unit energy (sum of squares = 1), got {energy:.8f}"
+                f"filter_taps must have unit energy (sum of squares = 1), got {energy:.8f}"
             )
         if self.responsivity is not None:
             expected = self.responsivity * self.lo_power_mw

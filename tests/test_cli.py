@@ -63,8 +63,7 @@ def test_certify_from_code_files(fast_ini, tmp_path, capsys):
     from triqrng.config import load_config, write_config
 
     bg_ini = str(tmp_path / "bg.ini")
-    write_config(replace(load_config(fast_ini), sigma_q2=0.0, responsivity=0.0,
-                         lo_power_mw=0.0, prng_seed=4242), bg_ini)
+    write_config(replace(load_config(fast_ini), lo_power_mw=0.0, prng_seed=4242), bg_ini)
     bg_prefix = str(tmp_path / "bg")
     assert main(["-c", bg_ini, "simulate", "-n", "300000", "--out", bg_prefix, "--format", "codes"]) == 0
     capsys.readouterr()
@@ -144,6 +143,26 @@ def test_extract_rejects_a_geometry_the_startup_certification_refuses(fast_ini, 
     out = str(tmp_path / "bits.bin")
     assert main(["-c", ini, "extract", "--type", "uniform", "--blocks", "8", "--out", out]) == 2
     assert "block_m=1248" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    pytest.param("block_m = 1024", "block_m = 1020", "block_m", id="block-m-not-whole-bytes"),
+    pytest.param("[source]\n", "[source]\nsigma_q2 = 5.0e-06\n", "sigma_q2", id="derived-sigma-q2"),
+    pytest.param("dnl_max = 0.1", "dnl_max = 0.6", "dnl_max", id="dnl-can-invert-bins"),
+    pytest.param("pool_size = 65536", "pool_size = 65540", "pool_size", id="pool-not-power-of-two"),
+    pytest.param("block_n = ", "blok_n = ", "blok_n", id="misspelt-key"),
+])
+def test_extract_rejects_a_bad_config_file_with_status_2(tmp_path, capsys, old, new, key):
+    ini = tmp_path / "bad.ini"
+    write_config(default_config(), str(ini))
+    text = ini.read_text()
+    assert old in text
+    ini.write_text(text.replace(old, new))
+    out = str(tmp_path / "bits.bin")
+    assert main(["-c", str(ini), "extract", "--type", "uniform", "--blocks", "8", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("extract: ") and key in err
     assert not os.path.exists(out)
 
 

@@ -1,6 +1,11 @@
+import math
+from dataclasses import fields
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from triqrng.config import PipelineConfig, default_config, load_config, write_config
+from triqrng.source import normalized_taps
 
 
 def test_roundtrip(tmp_path):
@@ -69,23 +74,104 @@ def test_block_sizes_must_be_whole_bytes():
     PipelineConfig(block_n=1536, adc_bits=12, block_m=1016)
 
 
-def test_matrix_roundtrip(tmp_path):
-    path = str(tmp_path / "m.ini")
-    ident = tuple(tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4))
-    cfg = PipelineConfig(matrix=ident, output_grid_sigma=4.0)
-    write_config(cfg, path)
-    loaded = load_config(path)
-    assert loaded.matrix == ident
-    assert loaded.output_grid_sigma == 4.0
-    # default (no inline matrix) round-trips as None
-    path2 = str(tmp_path / "m2.ini")
-    write_config(default_config(), path2)
-    assert load_config(path2).matrix is None
-
-
 def test_preset_taps_are_normalized():
     cfg = default_config()
     total = sum(t * t for t in cfg.filter_taps)
     assert abs(total - 1.0) < 1e-9
     cfg.noise_model()  # must validate cleanly
     cfg.adc_spec()
+
+
+def _finite(lo: float, hi: float, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def configs(draw) -> PipelineConfig:
+    bits = draw(st.integers(4, 24))
+    block_n = math.lcm(8, bits) * draw(st.integers(1, 8))  # whole codes and whole bytes
+    sg_window = 2 * draw(st.integers(0, 40)) + 1
+    buffer_bytes = draw(st.integers(1, 1 << 30))
+    psd_segment = 1 << draw(st.integers(3, 16))
+    host = draw(st.sampled_from(["127.0.0.1", "0.0.0.0", "localhost", "::1"]))
+    taps = draw(st.lists(_finite(-10, 10), min_size=1, max_size=6).filter(lambda t: max(map(abs, t)) > 1e-3))
+    values = {
+        "sigma_e2": draw(_finite(0, 1)),
+        "filter_taps": normalized_taps(taps),
+        "lo_power_mw": draw(_finite(0, 1e3)),
+        "responsivity": draw(_finite(0, 1e3)),
+        "sample_rate_hz": draw(_finite(1, 1e12)),
+        "prng_seed": draw(st.integers(0, 2**64)),  # above 2^53 a float loses the seed
+        "adc_bits": bits,
+        "adc_range_v": draw(_finite(1e-6, 10)),
+        "adc_dnl_max": draw(_finite(0, 0.5, exclude_max=True)),
+        "adc_dnl_seed": draw(st.integers(0, 2**32)),
+        "block_n": block_n,
+        "block_m": 8 * draw(st.integers(1, block_n // 8)),
+        "epsilon": draw(_finite(0, 1, exclude_min=True, exclude_max=True)),
+        "pool_size": 1 << draw(st.integers(2, 24)),
+        "passes_i": draw(st.integers(1, 12)),
+        "passes_q": draw(st.integers(1, 12)),
+        "sg_window": sg_window,
+        "sg_order": draw(st.integers(0, sg_window - 1)),
+        "gof_samples": draw(st.integers(1, 1 << 24)),
+        "listen": f"{host}:{draw(st.integers(0, 65535))}",
+        "max_request_bytes": draw(st.integers(1, buffer_bytes)),
+        "buffer_bytes": buffer_bytes,
+        "request_timeout_s": draw(_finite(1e-3, 1e4)),
+        "gate_alpha": draw(_finite(0, 1, exclude_min=True, exclude_max=True)),
+        "recertify_every": draw(st.integers(1, 1 << 40)),
+        "certify_samples": draw(st.integers(psd_segment, 1 << 24)),
+        "psd_segment": psd_segment,
+        "prediction_order": draw(st.integers(0, psd_segment // 2)),
+    }
+    assert set(values) == {f.name for f in fields(PipelineConfig)}  # every field, so a new one is covered
+    return PipelineConfig(**values)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=configs())
+def test_every_field_round_trips_through_the_file(tmp_path, cfg):
+    path = str(tmp_path / "cfg.ini")
+    write_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+def _default_ini(tmp_path) -> str:
+    path = tmp_path / "default.ini"
+    write_config(default_config(), str(path))
+    return path.read_text()
+
+
+@pytest.mark.parametrize("edit, key", [
+    pytest.param(lambda t: t + "\n[sources]\nprng_seed = 7\n", "sources", id="unknown-section"),
+    pytest.param(lambda t: t.replace("block_n = ", "blok_n = "), "blok_n", id="misspelt-key"),
+    pytest.param(lambda t: t.replace("[adc]\n", "[adc]\nblock_m = 1024\n"), "block_m", id="key-in-wrong-section"),
+    pytest.param(lambda t: t.replace("prng_seed = 7", "prng_seed = 7.9"), "prng_seed", id="fractional-int"),
+    pytest.param(lambda t: t.replace("buffer_bytes = 8388608", "buffer_bytes = 1e7"), "buffer_bytes",
+                 id="int-as-float-literal"),
+    pytest.param(lambda t: t.replace("filter_taps = ", "filter_taps = 1.0, "), "filter_taps", id="non-unit-taps"),
+    pytest.param(lambda t: t.replace("filter_taps = ", "filter_taps = nan, "), "filter_taps", id="nan-tap"),
+    pytest.param(lambda t: t.replace("range_v = 0.128", "range_v = nan"), "range_v", id="nan-float"),
+    pytest.param(lambda t: t.replace("lo_power_mw = 4.13", "lo_power_mw = inf"), "lo_power_mw", id="inf-float"),
+    pytest.param(lambda t: t.replace("sigma_e2 = ", "sigma_e2 = 1.0, "), "sigma_e2", id="list-for-a-float"),
+    pytest.param(lambda t: t.replace("dnl_max = 0.1", "dnl_max = 0.5"), "dnl_max", id="dnl-can-invert-bins"),
+    pytest.param(lambda t: t.replace("pool_size = 65536", "pool_size = 65540"), "pool_size", id="pool-not-power-of-two"),
+    pytest.param(lambda t: t.replace("[source]\n", "[source]\nsigma_q2 = 5.3e-06\n"), "sigma_q2",
+                 id="derived-sigma-q2"),
+    pytest.param(lambda t: "[DEFAULT]\nblock_n = 768\n" + t, "DEFAULT", id="default-section"),
+    pytest.param(lambda t: "block_n = 768\n" + t, "no section headers", id="not-ini"),
+])
+def test_a_bad_file_is_refused_when_it_is_loaded(tmp_path, edit, key):
+    text = _default_ini(tmp_path)
+    path = tmp_path / "bad.ini"
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    with pytest.raises(ValueError, match=key):
+        load_config(str(path))
+
+
+def test_sigma_q2_is_responsivity_times_lo_power():
+    cfg = PipelineConfig(lo_power_mw=2.0, responsivity=3.0)
+    assert cfg.noise_model().sigma_q2 == 6.0
+    assert default_config().noise_model().sigma_q2 == 5.324327e-06

@@ -75,6 +75,13 @@ def test_precision_rule_reproduces_11_bits():
     assert output_precision(11, 4) == 14
 
 
+def test_precision_rule_is_capped_at_the_wire_width():
+    # 13 input bits make 13 + 4 - 1 = 16-bit outputs, the int16 wire width
+    assert precision_from_report(dummy_report(0.75, bits=20)) == 13
+    assert precision_from_report(dummy_report(1.0, bits=24)) == 13
+    assert precision_from_report(dummy_report(0.75, bits=16)) == 12
+
+
 def test_normalize_constant_pool():
     pool = normalize_pool([2.0, 2.0, 2.0, 2.0])
     assert np.allclose(pool.values, 1.0, atol=1e-15)

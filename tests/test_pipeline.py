@@ -10,6 +10,7 @@ from triqrng.config import PipelineConfig
 from triqrng.entropy import extractable_length
 from triqrng.pipeline import Pipeline, StartupError, certify, rayleigh_amplitudes, run_pipeline
 from triqrng.rayleigh import savitzky_golay
+from triqrng.service import encode_gaussian
 
 
 def fast_config(**kw) -> PipelineConfig:
@@ -64,6 +65,20 @@ def test_type_switching_keeps_raw_consumption_fixed():
     ]
     consumed = {r.raw_samples_consumed for r in runs}
     assert len(consumed) == 1
+
+
+def test_gaussian_codes_fit_the_int16_wire_on_a_20_bit_adc():
+    # a 20-bit ADC certifies about 15 input bits; uncapped, 15 + 4 - 1 = 18-bit
+    # codes were shifted left by -2 on the wire, and every wire value was 0
+    cfg = fast_config(adc_bits=20, block_n=1520, certify_samples=1 << 17, pool_size=4096)
+    run = run_pipeline(cfg, duration_blocks=-(-4096 // 76), want={"gaussian"})
+    assert run.n_out == 16
+    for codes in (run.gaussian_i, run.gaussian_q):
+        assert codes.size == 4096
+        assert -(1 << 15) <= codes.min() and codes.max() < 1 << 15
+    wire = np.frombuffer(encode_gaussian(run.gaussian_i, run.gaussian_q, run.n_out), dtype="<i2")
+    assert np.count_nonzero(wire) > 0.99 * wire.size
+    assert np.array_equal(wire, np.concatenate([run.gaussian_i, run.gaussian_q]).reshape(2, -1).T.ravel())
 
 
 def test_gaussian_output_precision_and_pool_granularity():
