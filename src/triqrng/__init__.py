@@ -27,7 +27,7 @@ from .gaussian import (
     scaled_hadamard,
     wallace_pass,
 )
-from .pipeline import Pipeline, bench, certify, run_pipeline
+from .pipeline import Pipeline, bench, certify, provision_seed, run_pipeline
 from .rayleigh import phase_uniform, rayleigh_raw, savitzky_golay, smooth_histogram
 from .service import RandomService, serve
 from .source import (
@@ -39,7 +39,6 @@ from .source import (
 )
 from .stats import GofReport, bit_tests, chi2_test, ks_test
 from .toeplitz import (
-    BitSource,
     ToeplitzExtractor,
     ToeplitzSeed,
     dodis_extract,

@@ -81,7 +81,7 @@ def _cmd_extract(args) -> int:
     cfg = _config_from(args)
     smoothing = {"sg_window": args.window, "sg_order": args.order}
     cfg = replace(cfg, **{key: value for key, value in smoothing.items() if value is not None})
-    run = run_pipeline(cfg, args.blocks, want={args.type}, seed_cache_path=args.seed_cache)
+    run = run_pipeline(cfg, args.blocks, want={args.type})
     if args.type == "rayleigh" and args.histogram_mode:
         return _write_rayleigh_histogram(run.rayleigh, cfg, args)
     if args.type == "uniform":
@@ -200,7 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--blocks", type=int, default=4096, help="1536-bit blocks per channel")
     p.add_argument("--out", default="out.bin")
     p.add_argument("--stdout", action="store_true")
-    p.add_argument("--seed-cache", help="Toeplitz seed cache path")
     p.add_argument("--format", choices=["bin", "csv"], default="bin")
     p.add_argument("--window", type=int, help="Savitzky-Golay window override")
     p.add_argument("--order", type=int, help="Savitzky-Golay order override")

@@ -86,6 +86,11 @@ class PipelineConfig:
         )
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # a NaN would pass every range check below
+            value = getattr(self, f.name)
+            numbers = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         try:  # the source and digitizer rules run here too, so a bad file fails at load
             self.noise_model()
             self.adc_spec()
@@ -109,6 +114,12 @@ class PipelineConfig:
             raise ConfigError("passes_i and passes_q must be >= 1")
         if self.recertify_every < 1:
             raise ConfigError("recertify_every must be >= 1")
+        if self.sample_rate_hz <= 0:
+            raise ConfigError("sample_rate_hz must be positive")
+        if not 0 < self.gate_alpha < 1:
+            raise ConfigError("gate_alpha must be in (0, 1)")
+        if self.max_request_bytes < 1:
+            raise ConfigError("max_request_bytes must be >= 1")
         if self.max_request_bytes > self.buffer_bytes:
             raise ConfigError("max_request_bytes must be <= buffer_bytes (a larger request is never served)")
         if self.psd_segment < 8 or self.psd_segment & (self.psd_segment - 1):
@@ -136,12 +147,9 @@ _DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 
 def _parse(field: str, raw: str):
     kind = type(_DEFAULTS[field])
-    if kind not in (float, tuple):
-        return kind(raw)  # int() refuses "7.9" and is exact above 2^53
-    values = tuple(float(t) for t in raw.split(","))
-    if not all(map(math.isfinite, values)):  # a NaN would pass every later range check
-        raise ValueError(f"{raw!r} is not finite")
-    return values if kind is tuple else float(raw)
+    if kind is tuple:
+        return tuple(float(t) for t in raw.split(","))
+    return kind(raw)  # int() refuses "7.9" and is exact above 2^53
 
 
 def write_config(config: PipelineConfig, path: str) -> None:

@@ -41,12 +41,13 @@ from .gaussian import (
 )
 from .rayleigh import rayleigh_raw, savitzky_golay
 from .source import NoiseModel, WelchAccumulator, simulate_quadratures
-from .toeplitz import BitSource, ToeplitzExtractor, ToeplitzSeed, obtain_seed
+from .toeplitz import ToeplitzExtractor, ToeplitzSeed, next_admissible, seed_chain
 
 log = logging.getLogger(__name__)
 
 PSD_FLOOR_FRACTION = 1e-12
 BATCH_BLOCKS = 512  # per-channel blocks per batch made by run_pipeline, bench and the service
+SEED_FRAME = 4096  # samples per simulated frame drawn for the Toeplitz seed
 
 
 class StartupError(RuntimeError):
@@ -136,6 +137,24 @@ def certify(config: PipelineConfig) -> dict[str, EntropyReport]:
     return {ch: channel_report(ch, w, background[ch], config) for ch, w in windows.items()}
 
 
+def provision_seed(config: PipelineConfig) -> ToeplitzSeed:
+    """The Toeplitz seed, a pure function of the config, derived at every start.
+
+    Frame k is `SEED_FRAME` samples simulated at `prng_seed + 900_000 + k`;
+    its I-channel codes, serialized by `codes_to_bits`, are the raw bits.
+    Exactly the ceil(2p / (SEED_FRAME * adc_bits)) frames that `seed_chain`
+    draws its two p-bit sources from are simulated.
+    """
+    spec = config.adc_spec()
+    model = config.noise_model()
+    p = next_admissible(config.block_n + config.block_m - 1)
+    bits = []
+    for k in range(-(-2 * p // (SEED_FRAME * spec.bits))):
+        frame = simulate_quadratures(model, SEED_FRAME, config.prng_seed + 900_000 + k)
+        bits.append(codes_to_bits(quantize_channel(frame.i_samples, spec).codes, spec.bits).bits())
+    return seed_chain(np.concatenate(bits), config.block_n, config.block_m)
+
+
 def rayleigh_amplitudes(i_vals: np.ndarray, q_vals: np.ndarray, window: int, order: int) -> np.ndarray:
     """The Rayleigh stage: hypot, Savitzky-Golay smoothing, clamp at 0, float32.
 
@@ -168,8 +187,8 @@ class Pipeline:
     uniform output feeds its dequantized I/Q codes to the same windows.
     One routine closes and judges them: at startup, where a worst-channel
     budget below `block_m` or a window the bound cannot be evaluated on
-    raises StartupError before the Toeplitz seed is provisioned (or
-    loaded), and before each such batch's uniform bytes are returned. A
+    raises StartupError before the Toeplitz seed is derived from the
+    config, and before each such batch's uniform bytes are returned. A
     stream window whose budget falls below `block_m` stops uniform output
     for good, and one whose precision rule gives fewer Gaussian input bits
     than startup stops Gaussian output for good; each stopped type is
@@ -180,7 +199,7 @@ class Pipeline:
     always when it stops an output.
     """
 
-    def __init__(self, config: PipelineConfig, seed_cache_path: str | None = None):
+    def __init__(self, config: PipelineConfig):
         self.config = config
         self.spec = config.adc_spec()
         self.model = config.noise_model()
@@ -195,7 +214,7 @@ class Pipeline:
         self.reports: list[dict[str, EntropyReport]] = []
         self._close_windows()
 
-        self.seed = self._provision_seed(seed_cache_path)
+        self.seed = provision_seed(config)
         self._extractor = ToeplitzExtractor(self.seed)
         self._matrix = RecursiveMatrix(scaled_hadamard(DEFAULT_K))
         self.n_out = output_precision(self._m_bits, DEFAULT_K)
@@ -204,21 +223,6 @@ class Pipeline:
             "i": np.zeros(0, dtype=np.int64),
             "q": np.zeros(0, dtype=np.int64),
         }
-
-    # -- startup helpers ---------------------------------------------------
-
-    def _provision_seed(self, cache_path: str | None) -> ToeplitzSeed:
-        cfg = self.config
-
-        def raw_blocks():
-            k = 0
-            while True:
-                frame = simulate_quadratures(self.model, 4096, cfg.prng_seed + 900_000 + k)
-                codes = quantize_channel(frame.i_samples, self.spec)
-                yield codes_to_bits(codes.codes, self.spec.bits)
-                k += 1
-
-        return obtain_seed(BitSource(raw_blocks()), cfg.block_n, cfg.block_m, cache_path)
 
     # -- certification -----------------------------------------------------
 
@@ -350,13 +354,12 @@ def run_pipeline(
     config: PipelineConfig,
     duration_blocks: int,
     want: set[str] = frozenset({"uniform", "gaussian", "rayleigh"}),
-    seed_cache_path: str | None = None,
     batch_blocks: int = BATCH_BLOCKS,
 ) -> PipelineRun:
     """Run the streaming engine for a fixed number of per-channel blocks."""
     if duration_blocks <= 0:
         raise ValueError("duration_blocks must be positive")
-    pipe = Pipeline(config, seed_cache_path=seed_cache_path)
+    pipe = Pipeline(config)
     uniform = bytearray()
     gi, gq, ray = [], [], []
     remaining = duration_blocks

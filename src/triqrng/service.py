@@ -132,7 +132,6 @@ class RandomService:
         self.pipeline: Pipeline | None = None
         self.discarded_buffers = 0
         self.producer_failed = False
-        self.gate_results = 0
         cap = config.buffer_bytes
         self.buffers = {t: _ByteBuffer(cap) for t in CONTENT_TYPES}
         self._httpd: _Server | None = None
@@ -143,7 +142,6 @@ class RandomService:
 
     def _gate_uniform(self, chunk: bytes) -> bool:
         reports = bit_tests(BitBlock.from_bytes(chunk), alpha=self.config.gate_alpha)
-        self.gate_results += 1
         return all(r.passed for r in reports)
 
     def _run_producer(self) -> None:

@@ -14,10 +14,7 @@ s(t) * x(t).
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,7 +70,7 @@ def clmul(a: int, b: int) -> int:
 
 
 class ToeplitzExtractor:
-    """A cached seed expanded once for high-rate batch extraction.
+    """A seed expanded once for high-rate batch extraction.
 
     "Four Russians" table method (Arlazarov et al. 1970; Albrecht, Bard &
     Hart, ACM TOMS 2010): for input byte position p and byte value b,
@@ -166,70 +163,17 @@ def dodis_extract(x: BitBlock, y: BitBlock, m: int) -> BitBlock:
     return BitBlock.from_bits(_int_to_bits(folded & ((1 << m) - 1), m))
 
 
-# ---------------------------------------------------------------------------
-# Seed provisioning
+def seed_chain(bits: np.ndarray, n: int, m: int) -> ToeplitzSeed:
+    """Assemble an n->m Toeplitz seed from raw entropy bits via Dodis extraction.
 
-class BitSource:
-    """Pulls fixed-size bit chunks out of an iterator of BitBlocks."""
-
-    def __init__(self, blocks: Iterable[BitBlock]):
-        self._it: Iterator[BitBlock] = iter(blocks)
-        self._buf = np.zeros(0, dtype=np.uint8)
-
-    def take(self, nbits: int) -> np.ndarray:
-        parts = [self._buf]
-        have = self._buf.size
-        while have < nbits:
-            try:
-                blk = next(self._it)
-            except StopIteration:
-                raise RuntimeError("entropy stream exhausted while assembling seed") from None
-            parts.append(blk.bits())
-            have += blk.len
-        cat = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        self._buf = cat[nbits:]
-        return cat[:nbits]
-
-
-def seed_chain(source: BitSource, n: int, m: int) -> ToeplitzSeed:
-    """Assemble an n->m Toeplitz seed from raw entropy via Dodis extraction.
-
-    Draws two fresh raw blocks of the smallest admissible prime length
-    p >= n + m - 1 and keeps the first n + m - 1 bits of dodis_extract(x, y).
+    With p the smallest admissible prime >= n + m - 1, takes x = bits[:p]
+    and y = bits[p:2p] and keeps the first n + m - 1 bits of
+    dodis_extract(x, y).
     """
     need = n + m - 1
     p = next_admissible(need)
-    x = BitBlock.from_bits(source.take(p))
-    y = BitBlock.from_bits(source.take(p))
+    if bits.size < 2 * p:
+        raise ValueError(f"seed_chain needs 2 * {p} = {2 * p} raw bits, got {bits.size}")
+    x = BitBlock.from_bits(bits[:p])
+    y = BitBlock.from_bits(bits[p : 2 * p])
     return ToeplitzSeed(bits=dodis_extract(x, y, need), n=n, m=m)
-
-
-# Seed cache layout: little-endian uint32 n, uint32 m, then the packed seed
-# bits MSB-first (ceil((n+m-1)/8) bytes).
-
-def save_seed(seed: ToeplitzSeed, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", seed.n, seed.m))
-        fh.write(seed.bits.tobytes())
-
-
-def load_seed(path: str) -> ToeplitzSeed:
-    with open(path, "rb") as fh:
-        n, m = struct.unpack("<II", fh.read(8))
-        data = fh.read()
-    nbits = n + m - 1
-    if len(data) != (nbits + 7) // 8:
-        raise ValueError(f"seed file {path} is truncated")
-    return ToeplitzSeed(bits=BitBlock.from_bytes(data, nbits), n=n, m=m)
-
-
-def obtain_seed(source: BitSource, n: int, m: int, cache_path: str | None = None) -> ToeplitzSeed:
-    """Load a cached seed when present and compatible, else generate and cache."""
-    if cache_path and os.path.exists(cache_path):
-        seed = load_seed(cache_path)
-        if seed.n == n and seed.m == m:
-            return seed
-    seed = seed_chain(source, n, m)
-    if cache_path:
-        save_seed(seed, cache_path)
-    return seed

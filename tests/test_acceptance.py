@@ -355,7 +355,7 @@ def test_c13_service_soak():
 
     # 503 path: a gate that rejects every buffer leaves the store empty
     svc2 = RandomService(
-        PipelineConfig(certify_samples=1 << 17, gate_alpha=1.0, request_timeout_s=0.3,
+        PipelineConfig(certify_samples=1 << 17, gate_alpha=0.999, request_timeout_s=0.3,
                        listen="127.0.0.1:0")
     )
     svc2.start()

@@ -49,13 +49,21 @@ def test_validation():
     ("passes_i", 0), ("passes_q", 0), ("recertify_every", 0),
     ("psd_segment", 1000), ("psd_segment", 4), ("certify_samples", 2048),
     ("prediction_order", 2049), ("max_request_bytes", 8 * 1024 * 1024 + 1),
+    ("max_request_bytes", 0), ("sample_rate_hz", 0.0), ("sample_rate_hz", -2.0e9),
+    ("gate_alpha", 5.0), ("gate_alpha", 0.0), ("gate_alpha", 1.0),
+    ("sigma_e2", math.nan), ("adc_range_v", math.nan), ("lo_power_mw", math.nan),
+    ("request_timeout_s", math.nan), ("gate_alpha", math.nan), ("responsivity", math.inf),
+    ("filter_taps", (1.0, math.nan)),
 ])
 def test_values_that_fail_later_are_rejected_at_load(field, value):
     # left to run, each of these fails or misbehaves only inside the
     # pipeline: at the first Rayleigh batch (killing a service producer),
     # as unmixed Gaussian output, by recertifying on every call, at
-    # Pipeline start or in conditional_variance, or as a request larger
-    # than the buffer that can never be served
+    # Pipeline start (a zero sample rate divides by zero, a negative one
+    # and a NaN float fail certification or quantization) or in
+    # conditional_variance, as a request larger than the buffer or
+    # smaller than a byte that can never be served, or as a gate that
+    # discards every chunk (alpha >= 1) or none (alpha 0)
     with pytest.raises(ValueError, match=field):
         PipelineConfig(**{field: value})
 

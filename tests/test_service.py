@@ -139,9 +139,10 @@ def test_byte_buffer_put_past_capacity_returns_at_once():
 
 
 def test_gate_discards_failed_buffers_and_503():
-    # gate_alpha = 1.0 rejects essentially every buffer, so the certified
-    # uniform store stays empty and requests must 503
-    svc = RandomService(service_config(gate_alpha=1.0, request_timeout_s=0.3))
+    # gate_alpha = 0.999 rejects essentially every buffer (all four p-values
+    # would have to reach it), so the certified uniform store stays empty
+    # and requests must 503
+    svc = RandomService(service_config(gate_alpha=0.999, request_timeout_s=0.3))
     svc.start()
     try:
         deadline = time.time() + 30

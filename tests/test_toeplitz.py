@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triqrng.bits import BitBlock
+from triqrng.adc import quantize_channel
+from triqrng.bits import BitBlock, codes_to_bits
+from triqrng.config import PipelineConfig
+from triqrng.pipeline import provision_seed
+from triqrng.source import simulate_quadratures
 from triqrng.toeplitz import (
-    BitSource,
     ToeplitzExtractor,
     ToeplitzSeed,
     dodis_extract,
     is_admissible,
-    load_seed,
     next_admissible,
-    obtain_seed,
-    save_seed,
     seed_chain,
     toeplitz_extract,
 )
@@ -187,47 +187,76 @@ def test_dodis_rejects_inadmissible_length():
         dodis_extract(y, y, 14)
 
 
-def _prng_source(seed: int):
-    rng = np.random.default_rng(seed)
-
-    def blocks():
-        while True:
-            yield BitBlock.from_bits(rng.integers(0, 2, 4096).astype(np.uint8))
-
-    return BitSource(blocks())
-
-
 def test_seed_chain_length_and_determinism():
-    s1 = seed_chain(_prng_source(8), 1536, 1024)
+    def raw(seed):
+        return np.random.default_rng(seed).integers(0, 2, 8192).astype(np.uint8)
+
+    s1 = seed_chain(raw(8), 1536, 1024)
     assert s1.bits.len == 1536 + 1024 - 1 == 2559
-    s2 = seed_chain(_prng_source(8), 1536, 1024)
-    assert s1.bits == s2.bits
-    s3 = seed_chain(_prng_source(9), 1536, 1024)
-    assert s1.bits != s3.bits
+    assert s1.bits == seed_chain(raw(8), 1536, 1024).bits
+    assert s1.bits != seed_chain(raw(9), 1536, 1024).bits
+    # x and y are the first two p-bit slices; bits past 2p are not read
+    p = next_admissible(2559)
+    tail = raw(8)
+    tail[2 * p:] ^= 1
+    assert seed_chain(tail, 1536, 1024).bits == s1.bits
 
 
 def test_seed_chain_exhaustion_error():
-    one = [BitBlock.from_bits(np.ones(64, dtype=np.uint8))]
-    with pytest.raises(RuntimeError, match="exhausted"):
-        seed_chain(BitSource(iter(one)), 64, 32)
+    with pytest.raises(ValueError, match="2 \\* 101 = 202 raw bits, got 64"):
+        seed_chain(np.ones(64, dtype=np.uint8), 64, 32)
 
 
-def test_seed_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "seed.bin")
-    s1 = seed_chain(_prng_source(11), 96, 64)
-    save_seed(s1, path)
-    s2 = load_seed(path)
-    assert (s2.n, s2.m) == (96, 64)
-    assert s1.bits == s2.bits
-    # obtain_seed must reuse the cache, not regenerate
-    s3 = obtain_seed(_prng_source(999), 96, 64, cache_path=path)
-    assert s3.bits == s1.bits
+class _OracleBitSource:
+    """The frame-buffering source that provisioned the seed before
+    `provision_seed`: fixed-size bit chunks out of an iterator of BitBlocks."""
+
+    def __init__(self, blocks):
+        self._it = iter(blocks)
+        self._buf = np.zeros(0, dtype=np.uint8)
+
+    def take(self, nbits: int) -> np.ndarray:
+        parts = [self._buf]
+        have = self._buf.size
+        while have < nbits:
+            blk = next(self._it)
+            parts.append(blk.bits())
+            have += blk.len
+        cat = np.concatenate(parts)
+        self._buf = cat[nbits:]
+        return cat[:nbits]
 
 
-def test_cached_seed_reuse_keeps_mapping_fixed(tmp_path):
-    path = str(tmp_path / "seed.bin")
-    rng = np.random.default_rng(12)
-    seed = obtain_seed(_prng_source(13), 128, 64, cache_path=path)
-    seed2 = obtain_seed(_prng_source(14), 128, 64, cache_path=path)
-    x = BitBlock.from_bits(rng.integers(0, 2, 128).astype(np.uint8))
-    assert toeplitz_extract(x, seed, 64) == toeplitz_extract(x, seed2, 64)
+def _oracle_seed(cfg: PipelineConfig) -> tuple[ToeplitzSeed, int]:
+    """The old lazy provisioning: an endless generator of 4096-sample I
+    frames at prng_seed + 900_000 + k, two p-bit takes, Dodis extraction."""
+    model, spec = cfg.noise_model(), cfg.adc_spec()
+    frames = []
+
+    def raw_blocks():
+        k = 0
+        while True:
+            frame = simulate_quadratures(model, 4096, cfg.prng_seed + 900_000 + k)
+            frames.append(k)
+            yield codes_to_bits(quantize_channel(frame.i_samples, spec).codes, spec.bits)
+            k += 1
+
+    source = _OracleBitSource(raw_blocks())
+    need = cfg.block_n + cfg.block_m - 1
+    p = next_admissible(need)
+    x = BitBlock.from_bits(source.take(p))
+    y = BitBlock.from_bits(source.take(p))
+    return ToeplitzSeed(dodis_extract(x, y, need), cfg.block_n, cfg.block_m), len(frames)
+
+
+@pytest.mark.parametrize("adc_bits, block_n, block_m, frames", [
+    (16, 1536, 1024, 1),   # the preset: 2p = 5158 bits from one 65536-bit frame
+    (4, 4800, 4096, 2),    # n + m - 1 = 8895 > 8192: y spans frames 0 and 1
+    (4, 8192, 8192, 3),    # 2p > 32768: three frames
+])
+def test_provision_seed_matches_the_frame_buffering_oracle(adc_bits, block_n, block_m, frames):
+    cfg = PipelineConfig(adc_bits=adc_bits, block_n=block_n, block_m=block_m, prng_seed=21)
+    expected, drawn = _oracle_seed(cfg)
+    assert drawn == frames
+    assert provision_seed(cfg).bits == expected.bits
+
