@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +25,20 @@ from .service import encode_gaussian, encode_rayleigh, serve
 from .source import simulate_quadratures, write_frame_csv, write_frame_raw
 from .stats import bit_tests, chi2_test, ks_test
 from .bits import BitBlock
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive, finite number of seconds, got {text}")
+    return value
 
 
 def _config_from(args) -> PipelineConfig:
@@ -135,7 +151,7 @@ def _write_rayleigh_histogram(values, cfg: PipelineConfig, args) -> int:
 def _cmd_test(args) -> int:
     reports = []
     if args.bits_file:
-        data = open(args.bits_file, "rb").read()
+        data = Path(args.bits_file).read_bytes()
         reports.extend(bit_tests(BitBlock.from_bytes(data), alpha=args.alpha))
     if args.samples_file:
         samples = np.fromfile(args.samples_file, dtype="<f4").astype(np.float64)
@@ -182,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("simulate", help="generate an I/Q record")
-    p.add_argument("-n", "--count", type=int, default=1 << 16)
+    p.add_argument("-n", "--count", type=_positive_int, default=1 << 16)
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--format", choices=["raw", "csv", "codes"], default="codes")
     p.set_defaults(fn=_cmd_simulate)
@@ -197,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("extract", help="run the pipeline and emit one output type")
     p.add_argument("--type", choices=["uniform", "gaussian", "rayleigh"], required=True)
-    p.add_argument("--blocks", type=int, default=4096, help="1536-bit blocks per channel")
+    p.add_argument("--blocks", type=_positive_int, default=4096, help="1536-bit blocks per channel")
     p.add_argument("--out", default="out.bin")
     p.add_argument("--stdout", action="store_true")
     p.add_argument("--format", choices=["bin", "csv"], default="bin")
@@ -215,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_test)
 
     p = sub.add_parser("bench", help="production-path throughput benchmark (JSON)")
-    p.add_argument("--seconds", type=float, default=2.0)
+    p.add_argument("--seconds", type=_positive_seconds, default=2.0)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("serve", help="start the local HTTP bit service")

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import logging
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .adc import CodeBlock, dequantize, quantize_channel
+from .adc import AdcSpec, CodeBlock, dequantize, quantize_channel
 from .bits import codes_to_bits
 from .config import PipelineConfig
 from .entropy import (
@@ -168,6 +169,18 @@ def rayleigh_amplitudes(i_vals: np.ndarray, q_vals: np.ndarray, window: int, ord
     return raw.astype(np.float32)
 
 
+def _chunk_codes(model: NoiseModel, spec: AdcSpec, prng_seed: int, count: int, sample_rate_hz: float
+                ) -> tuple[CodeBlock, CodeBlock]:
+    """One stream chunk's I and Q codes, a pure function of the arguments.
+
+    It runs on a Pipeline's source worker, so it holds no reference to the
+    Pipeline, and it looks `simulate_quadratures` and `quantize_channel` up
+    as this module's globals at each call.
+    """
+    frame = simulate_quadratures(model, count, prng_seed, sample_rate_hz)
+    return quantize_channel(frame.i_samples, spec), quantize_channel(frame.q_samples, spec)
+
+
 @dataclass
 class BlockBatch:
     """One batch of per-channel outputs from the streaming engine."""
@@ -197,6 +210,15 @@ class Pipeline:
     Gaussian check goes on. A stream report is appended to `reports` when
     at least `recertify_every` blocks have passed since the last one, and
     always when it stops an output.
+
+    Raw codes are made one batch ahead: the batch that takes chunk k
+    submits chunk k+1, at its own sample count, to a worker thread started
+    by the first batch, which simulates and digitizes it while this batch
+    is certified and extracted. A prefetched chunk is used only when the
+    model, ADC spec, seed, count and sample rate it was made from are the
+    ones the next batch needs, so the bytes are those of making every
+    chunk in line. Memory holds one more chunk. A dropped Pipeline ends
+    its worker by reference counting.
     """
 
     def __init__(self, config: PipelineConfig):
@@ -208,6 +230,9 @@ class Pipeline:
         self.blocks_since_report = 0
         self.stopped: dict[str, str] = {}
         self._chunk_index = 0
+        # the worker thread starts with the first submitted chunk, not here
+        self._source = ThreadPoolExecutor(max_workers=1, thread_name_prefix="triqrng-source")
+        self._ahead: tuple[tuple, Future] | None = None  # (inputs, future codes) of the next chunk
 
         self._background = background_psd(config)
         self._windows = _simulated_windows(config, self.model, config.prng_seed)
@@ -274,16 +299,36 @@ class Pipeline:
 
     # -- streaming ---------------------------------------------------------
 
+    def _chunk_inputs(self, index: int, count: int) -> tuple:
+        """The `_chunk_codes` arguments of stream chunk `index`."""
+        return (self.model, self.spec, self.config.prng_seed + 1_000_000 + index, count,
+                self.config.sample_rate_hz)
+
     def _next_codes(self, n_blocks: int) -> tuple[CodeBlock, CodeBlock]:
+        """The next chunk's codes, and the chunk after it submitted to the worker.
+
+        A prefetched chunk is used only if it was made from exactly the
+        inputs this call needs; otherwise it is waited for, dropped, and the
+        chunk is made here. A worker error is raised by the call whose chunk
+        it was, which then consumes nothing.
+        """
         count = n_blocks * self.samples_per_block
-        frame = simulate_quadratures(self.model, count, self.config.prng_seed + 1_000_000 + self._chunk_index,
-                                     self.config.sample_rate_hz)
+        inputs = self._chunk_inputs(self._chunk_index, count)
+        ahead, self._ahead = self._ahead, None
+        codes = None
+        if ahead is not None:
+            made_from, future = ahead
+            if made_from == inputs:
+                codes = future.result()
+            else:
+                future.exception()  # a stale chunk: wait for it and drop it with any error it raised
+        if codes is None:
+            codes = _chunk_codes(*inputs)
         self._chunk_index += 1
         self.raw_samples_consumed += 2 * count
-        return (
-            quantize_channel(frame.i_samples, self.spec),
-            quantize_channel(frame.q_samples, self.spec),
-        )
+        following = self._chunk_inputs(self._chunk_index, count)
+        self._ahead = (following, self._source.submit(_chunk_codes, *following))
+        return codes
 
     def _extract_uniform(self, codes_i: CodeBlock, codes_q: CodeBlock, n_blocks: int) -> bytes:
         # rows in (block, channel) order are already the I-first interleave

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_simulate_raw_and_csv(tmp_path):
     assert main(["simulate", "-n", "1024", "--out", prefix, "--format", "raw"]) == 0
     assert np.fromfile(prefix + ".i.f32", dtype="<f4").size == 1024
     assert main(["simulate", "-n", "64", "--out", prefix, "--format", "csv"]) == 0
-    lines = open(prefix + ".csv").read().splitlines()
+    lines = Path(prefix + ".csv").read_text().splitlines()
     assert lines[0] == "index,I,Q"
     assert len(lines) == 65
 
@@ -46,7 +47,7 @@ def test_simulate_raw_and_csv(tmp_path):
 def test_certify_emits_json(fast_ini, tmp_path, capsys):
     out = str(tmp_path / "report.json")
     assert main(["-c", fast_ini, "certify", "--json-out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert set(doc) == {"i", "q"}
     for rep in doc.values():
         for field in ("h_min_per_sample", "h_min_per_bit", "g_star", "n_eff",
@@ -98,6 +99,23 @@ def test_simulate_refuses_codes_deeper_than_16_bits(tmp_path, capsys):
     assert not os.path.exists(prefix + ".i.i16")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["extract", "--type", "uniform", "--blocks", "0"], id="extract-blocks-0"),
+    pytest.param(["extract", "--type", "gaussian", "--blocks", "-3"], id="extract-blocks-negative"),
+    pytest.param(["simulate", "--count", "0", "--out", "rec"], id="simulate-count-0"),
+    pytest.param(["simulate", "-n", "-1", "--out", "rec"], id="simulate-count-negative"),
+    pytest.param(["bench", "--seconds", "0"], id="bench-seconds-0"),
+    pytest.param(["bench", "--seconds", "nan"], id="bench-seconds-nan"),
+])
+def test_non_positive_counts_are_refused_at_parse_time(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "must be a positive" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_extract_uniform(fast_ini, tmp_path):
     out = str(tmp_path / "bits.bin")
     assert main(["-c", fast_ini, "extract", "--type", "uniform", "--blocks", "8", "--out", out]) == 0
@@ -117,7 +135,7 @@ def test_extract_rayleigh_histogram_mode(fast_ini, tmp_path):
     out = str(tmp_path / "hist.csv")
     assert main(["-c", fast_ini, "extract", "--type", "rayleigh", "--blocks", "64",
                  "--out", out, "--histogram-mode", "--window", "21", "--order", "3"]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "bin_center,count,smoothed"
     assert len(lines) == 257
 
@@ -132,7 +150,7 @@ def test_extract_order_zero_overrides_the_config(fast_ini, tmp_path):
     write_config(replace(load_config(fast_ini), sg_order=0), ini)
     outs["ini"] = str(tmp_path / "ini.f32")
     assert main(["-c", ini, "extract", "--type", "rayleigh", "--blocks", "64", "--out", outs["ini"]]) == 0
-    data = {name: open(path, "rb").read() for name, path in outs.items()}
+    data = {name: Path(path).read_bytes() for name, path in outs.items()}
     assert data["flag"] == data["ini"]
     assert data["flag"] != data["default"]
 

@@ -1,17 +1,29 @@
+import gc
 import hashlib
+import itertools
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+import urllib.request
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import triqrng.pipeline
 
+from triqrng.adc import quantize_channel
 from triqrng.config import PipelineConfig
 from triqrng.entropy import extractable_length
-from triqrng.pipeline import Pipeline, StartupError, certify, rayleigh_amplitudes, run_pipeline
+from triqrng.pipeline import BATCH_BLOCKS, Pipeline, StartupError, certify, rayleigh_amplitudes, run_pipeline
 from triqrng.rayleigh import savitzky_golay
-from triqrng.service import encode_gaussian
+from triqrng.service import RandomService, encode_gaussian
+from triqrng.source import simulate_quadratures
 
 
 def fast_config(**kw) -> PipelineConfig:
@@ -268,3 +280,195 @@ def test_window_that_cannot_be_certified_stops_uniform_and_gaussian(monkeypatch)
     batch = pipe.process_blocks(512)
     assert batch.uniform == b"" and batch.gaussian_i.size == 0 and batch.rayleigh.size > 0
     assert set(pipe.stopped) == {"uniform", "gaussian"}
+
+
+# -- the one-batch-ahead source stage ----------------------------------------
+
+OUTPUT_TYPES = ("uniform", "gaussian", "rayleigh")
+
+
+def serial_codes(pipe: Pipeline, index: int, count: int):
+    """Oracle for stream chunk `index` under the pipeline's current inputs."""
+    cfg = pipe.config
+    frame = simulate_quadratures(pipe.model, count, cfg.prng_seed + 1_000_000 + index, cfg.sample_rate_hz)
+    return quantize_channel(frame.i_samples, pipe.spec), quantize_channel(frame.q_samples, pipe.spec)
+
+
+class SerialPipeline(Pipeline):
+    """The pipeline with each chunk made in line, in stream order."""
+
+    chunks = 0
+
+    def _next_codes(self, n_blocks):
+        count = n_blocks * self.samples_per_block
+        codes = serial_codes(self, self.chunks, count)
+        self.chunks += 1
+        self.raw_samples_consumed += 2 * count
+        return codes
+
+
+class RecordingPipeline(Pipeline):
+    """The production pipeline, keeping the codes of every chunk it consumed."""
+
+    def _next_codes(self, n_blocks):
+        codes = super()._next_codes(n_blocks)
+        self.__dict__.setdefault("consumed", []).append(codes)
+        return codes
+
+
+def _same_batch(a, b) -> bool:
+    return (a.uniform == b.uniform and np.array_equal(a.gaussian_i, b.gaussian_i)
+            and np.array_equal(a.gaussian_q, b.gaussian_q) and np.array_equal(a.rayleigh, b.rayleigh))
+
+
+def _stage_config(**kw) -> PipelineConfig:
+    return fast_config(certify_samples=1 << 16, pool_size=4096, **kw)
+
+
+def _source_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("triqrng-source")}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 48), st.sets(st.sampled_from(OUTPUT_TYPES))), min_size=1, max_size=6))
+def test_prefetched_stream_equals_the_serial_oracle(batches):
+    # any batch sizes and routings: a size change discards the prefetched chunk
+    cfg = _stage_config()
+    pipe, oracle = RecordingPipeline(cfg), SerialPipeline(cfg)
+    for k, (n_blocks, want) in enumerate(batches):
+        batch = pipe.process_blocks(n_blocks, want)
+        assert _same_batch(batch, oracle.process_blocks(n_blocks, want))
+        expect = serial_codes(pipe, k, n_blocks * pipe.samples_per_block)
+        assert all(np.array_equal(got.codes, ref.codes) and got.clamped == ref.clamped
+                   for got, ref in zip(pipe.consumed[k], expect))
+    assert pipe.raw_samples_consumed == oracle.raw_samples_consumed
+
+
+@pytest.mark.parametrize("swap", ["model", "spec", "seed"])
+def test_an_input_swapped_between_batches_takes_effect_on_the_next_batch(swap):
+    # the chunk prefetched during batch 0 was made from the old inputs
+    cfg = _stage_config()
+    pipe, oracle = RecordingPipeline(cfg), SerialPipeline(cfg)
+    for p in (pipe, oracle):
+        p.process_blocks(16)
+        if swap == "model":
+            _lower_lo_power(p, 2)
+        elif swap == "spec":
+            p.spec = replace(p.spec, range_v=p.spec.range_v * 2)
+        else:
+            p.config = replace(p.config, prng_seed=p.config.prng_seed + 1)
+    batch = pipe.process_blocks(16)
+    expect = serial_codes(pipe, 1, 16 * pipe.samples_per_block)
+    assert np.array_equal(pipe.consumed[1][0].codes, expect[0].codes)
+    assert np.array_equal(pipe.consumed[1][1].codes, expect[1].codes)
+    assert _same_batch(batch, oracle.process_blocks(16))
+
+
+def _fail_on_call(n: int, only_size: int | None = None):
+    """A quantize_channel that raises on its n-th call (counting only
+    records of `only_size` samples if given)."""
+    real = triqrng.pipeline.quantize_channel
+    calls = itertools.count(1)
+
+    def faulty(volts, spec):
+        if (only_size is None or volts.size == only_size) and next(calls) == n:
+            raise RuntimeError("injected ADC fault")
+        return real(volts, spec)
+
+    return faulty
+
+
+def test_a_worker_fault_is_raised_by_the_batch_that_consumes_its_chunk(monkeypatch):
+    pipe = Pipeline(_stage_config())
+    # calls 1-2: chunk 0 in line; 3-4: chunk 1 on the worker; 5: chunk 2's I channel
+    monkeypatch.setattr(triqrng.pipeline, "quantize_channel", _fail_on_call(5))
+    pipe.process_blocks(16)
+    pipe.process_blocks(16)  # submits chunk 2, which fails on the worker
+    consumed = pipe.raw_samples_consumed
+    with pytest.raises(RuntimeError, match="injected ADC fault"):
+        pipe.process_blocks(16)
+    assert pipe.raw_samples_consumed == consumed
+    # the failed chunk was not consumed: the next batch makes it again, in line
+    monkeypatch.undo()
+    oracle = SerialPipeline(_stage_config())
+    for _ in range(3):
+        expect = oracle.process_blocks(16)
+    assert _same_batch(pipe.process_blocks(16), expect)
+
+
+def test_a_worker_fault_fails_the_service(monkeypatch):
+    cfg = PipelineConfig(certify_samples=1 << 17, recertify_every=1 << 20, buffer_bytes=1 << 20,
+                         max_request_bytes=1 << 18, gate_alpha=0.0005, listen="127.0.0.1:0")
+    batch_samples = BATCH_BLOCKS * (cfg.block_n // cfg.adc_bits)
+    # the third batch's chunk fails on the worker; startup records are other sizes
+    monkeypatch.setattr(triqrng.pipeline, "quantize_channel", _fail_on_call(5, only_size=batch_samples))
+    svc = RandomService(cfg)
+    svc.start()
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            with urllib.request.urlopen(f"http://127.0.0.1:{svc.port}/health", timeout=30) as resp:
+                health = json.loads(resp.read())
+            if health["status"] == "failed":
+                break
+            time.sleep(0.05)
+        assert health["status"] == "failed"
+        assert health["raw_samples_consumed"] == 2 * 2 * batch_samples
+    finally:
+        svc.stop()
+
+
+def test_a_dropped_pipeline_ends_its_worker_without_the_cycle_collector():
+    pipe = Pipeline(_stage_config())
+    before = _source_threads()
+    pipe.process_blocks(16)
+    (worker,) = _source_threads() - before
+    gc.disable()
+    try:
+        del pipe
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+    finally:
+        gc.enable()
+
+
+def test_importing_the_pipeline_starts_no_thread():
+    code = "import threading, triqrng.pipeline; print(threading.active_count())"
+    src = str(Path(triqrng.pipeline.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "1"
+
+
+def _stream_digest(pipe: Pipeline, plan) -> str:
+    digest = hashlib.sha256()
+    for n_blocks, want in plan:
+        b = pipe.process_blocks(n_blocks, want)
+        digest.update(b.uniform + b.gaussian_i.astype("<i8").tobytes() + b.gaussian_q.astype("<i8").tobytes()
+                      + b.rayleigh.astype("<f4").tobytes())
+    return digest.hexdigest()
+
+
+def test_pipelines_in_more_threads_than_cores_keep_their_streams():
+    # three pipelines plus their three workers on a short switch interval
+    plan = [(24, set(OUTPUT_TYPES)), (24, {"gaussian", "rayleigh"}), (8, {"uniform"}),
+            (24, set(OUTPUT_TYPES)), (24, {"rayleigh"}), (24, set(OUTPUT_TYPES))]
+    configs = [_stage_config(prng_seed=seed) for seed in (11, 12, 13)]
+    expect = [_stream_digest(SerialPipeline(cfg), plan) for cfg in configs]
+    got: dict[int, str] = {}
+
+    def run(k: int) -> None:
+        got[k] = _stream_digest(Pipeline(configs[k]), plan)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [got.get(k) for k in range(3)] == expect
