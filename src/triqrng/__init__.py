@@ -18,15 +18,7 @@ from .entropy import (
     min_entropy_nonlinear,
     solve_g_star,
 )
-from .gaussian import (
-    GaussianPool,
-    RecursiveMatrix,
-    msb_truncate,
-    normalize_pool,
-    output_precision,
-    scaled_hadamard,
-    wallace_pass,
-)
+from .gaussian import HADAMARD, mix_pools, msb_truncate, output_precision
 from .pipeline import Pipeline, bench, certify, provision_seed, run_pipeline
 from .rayleigh import phase_uniform, rayleigh_raw, savitzky_golay, smooth_histogram
 from .service import RandomService, serve

@@ -2,7 +2,7 @@
 
 Subcommands: simulate, certify, extract, test, bench, serve. All accept
 -c/--config pointing at an INI file (defaults ship in-package); reports
-are emitted as JSON. TRIQRNG_LISTEN overrides the service listen address.
+are emitted as JSON.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -19,9 +18,10 @@ import numpy as np
 
 from .adc import CodeBlock, quantize
 from .config import ConfigError, PipelineConfig, default_config, load_config, write_config
-from .gaussian import grid_step
+from .gaussian import encode_gaussian, grid_step
 from .pipeline import StartupError, bench, certify, channel_report, record_windows, run_pipeline
-from .service import encode_gaussian, encode_rayleigh, serve
+from .rayleigh import encode_rayleigh
+from .service import serve
 from .source import simulate_quadratures, write_frame_csv, write_frame_raw
 from .stats import bit_tests, chi2_test, ks_test
 from .bits import BitBlock
@@ -38,6 +38,13 @@ def _positive_seconds(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive, finite number of seconds, got {text}")
+    return value
+
+
+def _significance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be a significance level in (0, 1), got {text}")
     return value
 
 
@@ -150,13 +157,17 @@ def _write_rayleigh_histogram(values, cfg: PipelineConfig, args) -> int:
 
 def _cmd_test(args) -> int:
     reports = []
-    if args.bits_file:
-        data = Path(args.bits_file).read_bytes()
-        reports.extend(bit_tests(BitBlock.from_bytes(data), alpha=args.alpha))
-    if args.samples_file:
-        samples = np.fromfile(args.samples_file, dtype="<f4").astype(np.float64)
-        reports.append(ks_test(samples, args.reference, alpha=args.alpha))
-        reports.append(chi2_test(samples, args.reference, alpha=args.alpha))
+    try:
+        if args.bits_file:
+            data = Path(args.bits_file).read_bytes()
+            reports.extend(bit_tests(BitBlock.from_bytes(data), alpha=args.alpha))
+        if args.samples_file:
+            samples = np.fromfile(args.samples_file, dtype="<f4").astype(np.float64)
+            reports.append(ks_test(samples, args.reference, alpha=args.alpha))
+            reports.append(chi2_test(samples, args.reference, alpha=args.alpha))
+    except ValueError as err:  # an input too short for its tests
+        print(f"test: {err}", file=sys.stderr)
+        return 2
     if not reports:
         print("nothing to test: pass --bits and/or --samples", file=sys.stderr)
         return 2
@@ -172,8 +183,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_serve(args) -> int:
     cfg = _config_from(args)
-    listen = os.environ.get("TRIQRNG_LISTEN") or args.listen or cfg.listen
-    cfg = replace(cfg, listen=listen)
+    cfg = replace(cfg, listen=args.listen or cfg.listen)
     svc = serve(cfg)
     print(f"serving on {cfg.listen.rsplit(':', 1)[0]}:{svc.port} (ctrl-c to stop)")
     try:
@@ -223,11 +233,12 @@ def main(argv: list[str] | None = None) -> int:
                    help="rayleigh only: emit a smoothed histogram CSV instead of the stream")
     p.set_defaults(fn=_cmd_extract)
 
-    p = sub.add_parser("test", help="statistical tests on bit or sample files")
+    p = sub.add_parser("test", help="statistical tests on bit or sample files "
+                       "(exit 0 all passed, 1 a test failed, 2 unusable input)")
     p.add_argument("--bits", dest="bits_file", help="packed bit file (MSB-first)")
     p.add_argument("--samples", dest="samples_file", help="float32-LE sample file")
     p.add_argument("--reference", choices=["gaussian", "rayleigh", "uniform"], default="gaussian")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=_significance, default=0.01)
     p.set_defaults(fn=_cmd_test)
 
     p = sub.add_parser("bench", help="production-path throughput benchmark (JSON)")
@@ -235,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("serve", help="start the local HTTP bit service")
-    p.add_argument("--listen", help="host:port (or TRIQRNG_LISTEN env var)")
+    p.add_argument("--listen", help="host:port (default: [service] listen)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("init-config", help="write the default config file")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .adc import AdcSpec
 from .entropy import DEFAULT_EPSILON, DEFAULT_PREDICTION_ORDER
-from .gaussian import DEFAULT_K
+from .gaussian import K
 from .source import NoiseModel, normalized_taps
 
 # Tuned reference operating point. sigma_q2 = responsivity * lo_power_mw
@@ -102,8 +102,8 @@ class PipelineConfig:
             raise ConfigError("block_n must be a multiple of the ADC bit depth")
         if self.block_n % 8 or self.block_m % 8:
             raise ConfigError("block_n and block_m must be multiples of 8 (packed rows)")
-        if self.pool_size < DEFAULT_K or self.pool_size & (self.pool_size - 1):
-            raise ConfigError(f"pool_size must be a power of two >= {DEFAULT_K}")
+        if self.pool_size < K or self.pool_size & (self.pool_size - 1):
+            raise ConfigError(f"pool_size must be a power of two >= {K}")
         if not 0 < self.epsilon < 1:
             raise ConfigError("epsilon must be in (0, 1)")
         if self.sg_window < 1 or self.sg_window % 2 == 0:

@@ -30,16 +30,7 @@ from .entropy import (
     min_entropy_nonlinear,
     solve_g_star,
 )
-from .gaussian import (
-    DEFAULT_K,
-    RecursiveMatrix,
-    bit_reversal_permutation,
-    mix_pools,
-    msb_truncate,
-    output_precision,
-    precision_from_report,
-    scaled_hadamard,
-)
+from .gaussian import mix_pools, msb_truncate, output_precision, precision_from_report
 from .rayleigh import rayleigh_raw, savitzky_golay
 from .source import NoiseModel, WelchAccumulator, simulate_quadratures
 from .toeplitz import ToeplitzExtractor, ToeplitzSeed, next_admissible, seed_chain
@@ -241,9 +232,7 @@ class Pipeline:
 
         self.seed = provision_seed(config)
         self._extractor = ToeplitzExtractor(self.seed)
-        self._matrix = RecursiveMatrix(scaled_hadamard(DEFAULT_K))
-        self.n_out = output_precision(self._m_bits, DEFAULT_K)
-        self._perm = bit_reversal_permutation(config.pool_size)
+        self.n_out = output_precision(self._m_bits)
         self._pool_buf: dict[str, np.ndarray] = {
             "i": np.zeros(0, dtype=np.int64),
             "q": np.zeros(0, dtype=np.int64),
@@ -340,7 +329,7 @@ class Pipeline:
         buf = np.concatenate([self._pool_buf[channel], truncated])
         whole = buf.size - buf.size % self.config.pool_size
         self._pool_buf[channel] = buf[whole:]
-        return mix_pools(buf[:whole], self._perm, self._matrix, passes, self.n_out)
+        return mix_pools(buf[:whole], self.config.pool_size, passes, self.n_out)
 
     def process_blocks(
         self,

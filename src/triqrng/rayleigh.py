@@ -1,5 +1,5 @@
-"""Rayleigh amplitudes and uniform phases from paired quadratures, plus
-Savitzky-Golay denoising.
+"""Rayleigh amplitudes and uniform phases from paired quadratures,
+Savitzky-Golay denoising, and the float32 wire format of the amplitudes.
 
 No extraction guarantee is attached to these outputs: amplitude values are
 "denoised raw" everywhere in this package. The only denoiser is
@@ -102,3 +102,8 @@ def smooth_histogram(counts, window: int = 31, order: int = 3) -> np.ndarray:
     result is descriptive (smoothed counts are no longer multinomial).
     """
     return savitzky_golay(np.asarray(counts, dtype=np.float64), window, order)
+
+
+def encode_rayleigh(values: np.ndarray) -> bytes:
+    """Amplitudes as float32 LE."""
+    return values.astype("<f4").tobytes()

@@ -33,36 +33,24 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-import numpy as np
-
 from .bits import BitBlock
 from .config import PipelineConfig
+from .gaussian import encode_gaussian
 from .pipeline import BATCH_BLOCKS, Pipeline
+from .rayleigh import encode_rayleigh
 from .stats import MIN_BITS, bit_tests
 
 log = logging.getLogger(__name__)
 
 GATE_CHUNK_BYTES = MIN_BITS // 8  # uniform bytes per bit-test gate evaluation
 
-# Wire format of each output type. Uniform bytes are already packed bits.
+# Content type of each output type's wire format. Uniform bytes are
+# already packed bits; gaussian.py and rayleigh.py encode the other two.
 CONTENT_TYPES = {
     "uniform": "application/octet-stream",
     "gaussian": "application/x-int16-le",
     "rayleigh": "application/x-float32-le",
 }
-
-
-def encode_gaussian(codes_i: np.ndarray, codes_q: np.ndarray, n_out: int) -> bytes:
-    """I/Q-interleaved (I first) n_out-bit codes, left-justified in int16 LE."""
-    inter = np.empty(codes_i.size + codes_q.size, dtype=np.int64)
-    inter[0::2] = codes_i
-    inter[1::2] = codes_q
-    return (inter << (16 - n_out)).astype("<i2").tobytes()
-
-
-def encode_rayleigh(values: np.ndarray) -> bytes:
-    """Amplitudes as float32 LE."""
-    return values.astype("<f4").tobytes()
 
 
 class _ByteBuffer:
@@ -132,6 +120,10 @@ class RandomService:
         self.pipeline: Pipeline | None = None
         self.discarded_buffers = 0
         self.producer_failed = False
+        # the pipeline's stops once the producer has acted on them: requests
+        # and /health read this, so none sees a stopped type whose bytes the
+        # producer has not dropped yet
+        self.stopped: dict[str, str] = {}
         cap = config.buffer_bytes
         self.buffers = {t: _ByteBuffer(cap) for t in CONTENT_TYPES}
         self._httpd: _Server | None = None
@@ -167,6 +159,7 @@ class RandomService:
             pending = self._pending_uniform
             if "uniform" in self.pipeline.stopped:
                 pending.clear()  # held back from the gate, never to be served
+            self.stopped = dict(self.pipeline.stopped)
             pending += batch.uniform
             read = 0
             while len(pending) - read >= GATE_CHUNK_BYTES:
@@ -237,10 +230,10 @@ class RandomService:
             self._send_json(req, 400, {"error": f"bytes must be in [1, {self.config.max_request_bytes}]"})
             return
         # a stopped type only drains what it released before it stopped
-        timeout = 0.0 if rtype in self.pipeline.stopped else self.config.request_timeout_s
+        timeout = 0.0 if rtype in self.stopped else self.config.request_timeout_s
         data = self.buffers[rtype].take(nbytes, timeout=timeout)
         if data is None:
-            reason = self.pipeline.stopped.get(rtype)  # it may have stopped while the request waited
+            reason = self.stopped.get(rtype)  # it may have stopped while the request waited
             if reason:
                 self._send_json(req, 503, {"error": f"{rtype} output stopped: {reason}", "retry": False})
             else:
@@ -258,8 +251,8 @@ class RandomService:
         assert self.pipeline is not None
         latest = self.pipeline.reports[-1]
         return {
-            "status": "failed" if self.producer_failed else "degraded" if self.pipeline.stopped else "ok",
-            "certified": "uniform" not in self.pipeline.stopped,
+            "status": "failed" if self.producer_failed else "degraded" if self.stopped else "ok",
+            "certified": "uniform" not in self.stopped,
             "certifications": len(self.pipeline.reports),
             "h_min_per_bit": {ch: r.h_min_per_bit for ch, r in latest.items()},
             "n_eff": {ch: r.n_eff for ch, r in latest.items()},

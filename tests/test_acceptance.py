@@ -18,16 +18,7 @@ from triqrng.adc import AdcSpec, quantize
 from triqrng.bits import BitBlock
 from triqrng.config import PipelineConfig
 from triqrng.entropy import min_entropy_iid, min_entropy_nonlinear, solve_g_star
-from triqrng.gaussian import (
-    RecursiveMatrix,
-    bit_reversal_permutation,
-    grid_step,
-    mix_pools,
-    msb_truncate,
-    output_precision,
-    precision_from_report,
-    scaled_hadamard,
-)
+from triqrng.gaussian import grid_step, mix_pools, msb_truncate, output_precision, precision_from_report
 from triqrng.pipeline import Pipeline, run_pipeline
 from triqrng.rayleigh import phase_uniform, rayleigh_raw, savitzky_golay, smooth_histogram
 from triqrng.service import RandomService
@@ -182,9 +173,7 @@ def test_c07_gaussian_extractor_table_pattern(preset_pipeline, preset_report):
     count = 15 * 65536
     m_bits = 11
     m_ext = precision_from_report(preset_report)
-    n_out = output_precision(m_ext, 4)
-    perm = bit_reversal_permutation(65536)
-    matrix = RecursiveMatrix(scaled_hadamard(4))
+    n_out = output_precision(m_ext)
     trials_pass = 0
     raw_ps = []
     for trial_seed in range(100, 2100, 100):
@@ -198,7 +187,7 @@ def test_c07_gaussian_extractor_table_pattern(preset_pipeline, preset_report):
             assert p_ks < 1e-6 and p_chi < 1e-6
         ok = True
         for codes, passes in ((codes_i, 5), (codes_q, 4)):
-            out = mix_pools(msb_truncate(codes, m_ext), perm, matrix, passes, n_out)
+            out = mix_pools(msb_truncate(codes, m_ext), 65536, passes, n_out)
             probe = out[:100_000] * grid_step(n_out)
             ok &= ks_test(probe, "gaussian").p_value >= 0.01
             ok &= chi2_test(probe, "gaussian", n_bins=64).p_value >= 0.01
@@ -208,7 +197,7 @@ def test_c07_gaussian_extractor_table_pattern(preset_pipeline, preset_report):
 
 
 def test_c08_output_precision(preset_pipeline):
-    assert output_precision(11, 4) == 14
+    assert output_precision(11) == 14
     assert preset_pipeline.n_out == 14
     _ok(8, "m=11, K=4 -> 14-bit Gaussian outputs")
 

@@ -226,3 +226,55 @@ def test_test_subcommand_requires_input(capsys):
     rc = main(["test"])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "1", "1.5", "nan"])
+def test_test_refuses_a_significance_level_outside_0_1(tmp_path, capsys, alpha):
+    # at alpha <= 0 this all-zero file passed every bit test
+    bits = tmp_path / "zeros.bin"
+    bits.write_bytes(bytes(200_000))
+    with pytest.raises(SystemExit) as exit_:
+        main(["test", "--bits", str(bits), "--alpha", alpha])
+    assert exit_.value.code == 2
+    assert "must be a significance level in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, data, message", [
+    pytest.param("--bits", bytes(1000), "bit tests need at least", id="bits"),
+    pytest.param("--samples", np.ones(50, dtype="<f4").tobytes(), "KS test needs at least", id="samples"),
+])
+def test_test_refuses_an_input_too_short_for_its_tests(tmp_path, capsys, flag, data, message):
+    path = tmp_path / "short.bin"
+    path.write_bytes(data)
+    assert main(["test", flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"test: {message}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, listen", [
+    pytest.param(["--listen", "127.0.0.1:8123"], "127.0.0.1:8123", id="flag"),
+    pytest.param([], default_config().listen, id="config"),
+])
+def test_serve_listens_where_the_flag_or_config_says(monkeypatch, capsys, argv, listen):
+    seen = {}
+
+    class FakeService:
+        port = 8123
+
+        def stop(self):
+            seen["stopped"] = True
+
+    def fake_serve(cfg):
+        seen["listen"] = cfg.listen
+        return FakeService()
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("triqrng.cli.serve", fake_serve)
+    monkeypatch.setattr("time.sleep", interrupt)
+    monkeypatch.setenv("TRIQRNG_LISTEN", "127.0.0.1:9")  # no longer read
+    assert main(["serve", *argv]) == 0
+    capsys.readouterr()
+    assert seen == {"listen": listen, "stopped": True}

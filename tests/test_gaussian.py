@@ -4,18 +4,14 @@ import pytest
 from triqrng.adc import AdcSpec, CodeBlock
 from triqrng.entropy import EntropyReport
 from triqrng.gaussian import (
-    GaussianPool,
-    RecursiveMatrix,
+    HADAMARD,
     bit_reversal_permutation,
     grid_step,
     mix_pools,
     msb_truncate,
-    normalize_pool,
     output_precision,
     precision_from_report,
     requantize,
-    scaled_hadamard,
-    wallace_pass,
 )
 from triqrng.stats import chi2_test, ks_test
 
@@ -72,7 +68,7 @@ def test_msb_truncate_range_check():
 def test_precision_rule_reproduces_11_bits():
     assert precision_from_report(dummy_report(0.70)) == 11
     assert precision_from_report(dummy_report(0.71)) == 11
-    assert output_precision(11, 4) == 14
+    assert output_precision(11) == 14
 
 
 def test_precision_rule_is_capped_at_the_wire_width():
@@ -82,56 +78,6 @@ def test_precision_rule_is_capped_at_the_wire_width():
     assert precision_from_report(dummy_report(0.75, bits=16)) == 12
 
 
-def test_normalize_constant_pool():
-    pool = normalize_pool([2.0, 2.0, 2.0, 2.0])
-    assert np.allclose(pool.values, 1.0, atol=1e-15)
-
-
-def test_normalize_unit_pool_unchanged():
-    pool = normalize_pool([1.0, -1.0, 1.0, -1.0])
-    assert np.array_equal(pool.values, [1.0, -1.0, 1.0, -1.0])
-
-
-def test_normalize_random_pool_mean_square_one():
-    rng = np.random.default_rng(0)
-    pool = normalize_pool(rng.standard_normal(4096) * 3.7)
-    assert abs(np.mean(pool.values**2) - 1.0) <= 1e-12
-
-
-def test_normalize_rejects_zero_pool():
-    with pytest.raises(ValueError):
-        normalize_pool([0.0, 0.0, 0.0, 0.0])
-
-
-def test_matrix_orthogonality_enforced():
-    with pytest.raises(ValueError):
-        RecursiveMatrix(np.array([[1.0, 0.0], [0.5, 1.0]]))
-    h = scaled_hadamard(4)
-    assert np.allclose(h.T @ h, np.eye(4), atol=1e-15)
-    RecursiveMatrix(h)
-
-
-def test_wallace_pass_identity_matrix_permutes_only():
-    rng = np.random.default_rng(1)
-    pool = normalize_pool(rng.standard_normal(64), k=4)
-    out = wallace_pass(pool, RecursiveMatrix(np.eye(4)))
-    assert sorted(out.values) == pytest.approx(sorted(pool.values), rel=1e-12)
-    assert out.pass_count == 1
-
-
-def test_wallace_pass_conserves_energy():
-    rng = np.random.default_rng(2)
-    pool = normalize_pool(rng.standard_normal(1 << 12), k=4)
-    mat = RecursiveMatrix(scaled_hadamard(4))
-    ss0 = float(np.sum(pool.values**2))
-    # raw transform drift stays tiny (orthogonality)...
-    raw = pool.values.reshape(-1, 4) @ mat.entries.T
-    assert abs(np.sum(raw**2) / ss0 - 1.0) < 1e-9
-    # ...and the pass restores it exactly within 1e-12
-    out = wallace_pass(pool, mat)
-    assert abs(np.sum(out.values**2) / ss0 - 1.0) <= 1e-12
-
-
 def _transpose_pass(values: np.ndarray, m: np.ndarray) -> np.ndarray:
     # reference: transform each group of k, copy the transpose, restore energy
     k = m.shape[0]
@@ -139,80 +85,125 @@ def _transpose_pass(values: np.ndarray, m: np.ndarray) -> np.ndarray:
     return mixed * np.sqrt(float(np.sum(values**2)) / float(np.sum(mixed**2)))
 
 
-@pytest.mark.parametrize("k", [2, 4, 8])
-@pytest.mark.parametrize("kind", ["hadamard", "random-orthogonal"])
-def test_wallace_pass_equals_transpose_form_bit_for_bit(k, kind):
-    rng = np.random.default_rng(100 + k)
-    m = scaled_hadamard(k) if kind == "hadamard" else np.linalg.qr(rng.standard_normal((k, k)))[0]
-    mat = RecursiveMatrix(m)
-    for _ in range(5):
-        pool = normalize_pool(rng.standard_normal(1 << 16), k=k)
-        ref = pool.values
-        for _ in range(3):
-            pool = wallace_pass(pool, mat)
-            ref = _transpose_pass(ref, m)
-            assert np.array_equal(pool.values, ref)
+def _oracle_pools(truncated: np.ndarray, pool_size: int, passes: int) -> list[np.ndarray]:
+    # reference: gather each whole pool by per-index bit reversal, scale it
+    # to unit mean square, then apply `passes` transpose passes
+    bits = pool_size.bit_length() - 1
+    perm = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(pool_size)]
+    pools = []
+    for p in range(truncated.size // pool_size):
+        v = truncated[p * pool_size:(p + 1) * pool_size].astype(np.float64)[perm]
+        v = v / np.sqrt(np.mean(v**2))
+        for _ in range(passes):
+            v = _transpose_pass(v, HADAMARD)
+        pools.append(v)
+    return pools
+
+
+def _codes(seed: int, count: int, scale: float = 512.0) -> np.ndarray:
+    return np.round(np.random.default_rng(seed).standard_normal(count) * scale).astype(np.int64)
+
+
+def test_normalize_constant_pool():
+    # a constant pool scales to ones; one pass maps each group of ones to
+    # (2, 0, 0, 0) and lists output j of every group in row j
+    out = mix_pools(np.full(8, 2, dtype=np.int64), 8, 1, 14)
+    assert np.array_equal(out, requantize(np.array([2.0, 2.0, 0, 0, 0, 0, 0, 0]), 14))
+
+
+def test_normalize_unit_pool_unchanged():
+    # (1, -1, 1, -1) already has unit mean square; gathered in bit-reversed
+    # order it is (1, 1, -1, -1), which the Hadamard maps to (0, 0, 2, 0)
+    out = mix_pools(np.array([1, -1, 1, -1]), 4, 1, 14)
+    assert np.array_equal(out, requantize(np.array([0.0, 0.0, 2.0, 0.0]), 14))
+
+
+def test_normalize_random_pool_mean_square_one():
+    values = mix_pools(_codes(0, 4096, scale=3.7 * 512), 4096, 1, 16) * grid_step(16)
+    assert abs(np.mean(values**2) - 1.0) <= 1e-5
+
+
+def test_normalize_rejects_zero_pool():
+    truncated = np.concatenate([np.arange(1, 5), np.zeros(4, dtype=np.int64)])
+    with pytest.raises(ValueError, match="all-zero pool"):
+        mix_pools(truncated, 4, 1, 14)
+
+
+def test_matrix_orthogonality_enforced():
+    assert np.array_equal(HADAMARD.T @ HADAMARD, np.eye(4))
+    assert not HADAMARD.flags.writeable
+
+
+def test_wallace_pass_conserves_energy():
+    truncated = _codes(2, 1 << 12)
+    values = truncated.astype(np.float64)
+    # the raw transform's drift stays tiny (orthogonality)...
+    raw = values.reshape(-1, 4) @ HADAMARD.T
+    assert abs(np.sum(raw**2) / np.sum(values**2) - 1.0) < 1e-9
+    # ...and every pass restores the pool energy exactly, as the oracle does;
+    # a 60-bit grid step is below one ulp of these values, so the codes keep
+    # every bit of the mixed pool
+    pool = _oracle_pools(truncated, 1 << 12, 3)[0]
+    assert abs(np.mean(pool**2) - 1.0) <= 1e-12
+    assert np.array_equal(mix_pools(truncated, 1 << 12, 3, 60), requantize(pool, 60))
+
+
+@pytest.mark.parametrize("pool_size", [4, 8, 64, 2048, 65536])
+def test_mix_pools_matches_the_transpose_oracle(pool_size):
+    for passes in range(1, 7):
+        m_bits = 5 + (passes + pool_size.bit_length()) % 9  # 5- to 13-bit inputs
+        n_out = output_precision(m_bits)
+        half = 1 << (m_bits - 1)
+        whole = 1 if pool_size == 65536 else 3
+        truncated = np.clip(_codes(pool_size + passes, whole * pool_size + pool_size // 2, half / 4),
+                            -half, half - 1)
+        pools = _oracle_pools(truncated, pool_size, passes)
+        out = mix_pools(truncated, pool_size, passes, n_out)
+        assert np.array_equal(out, np.concatenate([requantize(v, n_out) for v in pools]))
 
 
 def test_wallace_pass_second_moment_stays_one():
-    rng = np.random.default_rng(3)
-    pool = normalize_pool(rng.standard_normal(1 << 14), k=4)
-    mat = RecursiveMatrix(scaled_hadamard(4))
-    for _ in range(6):
-        pool = wallace_pass(pool, mat)
-        assert abs(np.mean(pool.values**2) - 1.0) <= 1e-12
+    truncated = _codes(3, 1 << 14)
+    for passes in range(1, 7):
+        values = mix_pools(truncated, 1 << 14, passes, 16) * grid_step(16)
+        assert abs(np.mean(values**2) - 1.0) <= 1e-5
 
 
 def test_wallace_pass_validation():
-    rng = np.random.default_rng(4)
-    pool = normalize_pool(rng.standard_normal(64), k=4)
-    with pytest.raises(ValueError):
-        wallace_pass(pool, RecursiveMatrix(np.eye(8)))
-    with pytest.raises(ValueError):
-        GaussianPool(values=rng.standard_normal(63), k=4)
+    # a pool is a power of two holding at least one group of 4
+    for pool_size in (2, 12):
+        with pytest.raises(ValueError, match="power of two"):
+            mix_pools(np.arange(1, 25), pool_size, 1, 14)
 
 
 def test_gaussianity_survives_passes():
-    rng = np.random.default_rng(5)
-    pool = normalize_pool(rng.standard_normal(1 << 16), k=4)
-    mat = RecursiveMatrix(scaled_hadamard(4))
-    for _ in range(5):
-        pool = wallace_pass(pool, mat)
-        assert ks_test(pool.values, "gaussian").p_value > 0.01
+    truncated = _codes(5, 1 << 16)
+    for passes in range(1, 6):
+        probe = mix_pools(truncated, 1 << 16, passes, 14) * grid_step(14)
+        assert ks_test(probe, "gaussian").p_value > 0.01
 
 
 def test_avalanche_mixing():
-    # sign-flip of the largest entry preserves the pool energy, so every
-    # output change is due to mixing, not the energy correction
-    rng = np.random.default_rng(6)
-    base = normalize_pool(rng.standard_normal(4096), k=4)
-    flipped_values = base.values.copy()
-    j = int(np.argmax(np.abs(flipped_values)))
-    flipped_values[j] = -flipped_values[j]
-    flipped = GaussianPool(values=flipped_values, k=4)
-    mat = RecursiveMatrix(scaled_hadamard(4))
-    a, b = base, flipped
+    # negating the largest code preserves the pool energy, so every output
+    # change is due to mixing, not the energy correction
+    base = _codes(6, 4096)
+    flipped = base.copy()
+    j = int(np.argmax(np.abs(flipped)))
+    flipped[j] = -flipped[j]
     passes = int(np.ceil(np.log(4096) / np.log(4)))
-    for _ in range(passes):
-        a = wallace_pass(a, mat)
-        b = wallace_pass(b, mat)
-    scale = np.sqrt(np.mean(a.values**2))
-    changed = np.mean(np.abs(a.values - b.values) > 1e-9 * scale)
+    changed = np.mean(mix_pools(base, 4096, passes, 14) != mix_pools(flipped, 4096, passes, 14))
     assert changed >= 0.5
 
 
 def test_determinism():
-    rng = np.random.default_rng(7)
-    vals = rng.standard_normal(1 << 12)
-    mat = RecursiveMatrix(scaled_hadamard(4))
-    out1 = wallace_pass(normalize_pool(vals), mat).values
-    out2 = wallace_pass(normalize_pool(vals), mat).values
-    assert np.array_equal(out1, out2)
+    truncated = _codes(7, 1 << 12)
+    assert np.array_equal(mix_pools(truncated, 1 << 12, 1, 14), mix_pools(truncated, 1 << 12, 1, 14))
 
 
 def test_bit_reversal_permutation():
     perm = bit_reversal_permutation(8)
     assert list(perm) == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert not perm.flags.writeable
     with pytest.raises(ValueError):
         bit_reversal_permutation(12)
 
@@ -229,12 +220,10 @@ def test_gaussian_extract_end_to_end():
     sigma_code = 1500.0
     raw = np.clip(np.round(rng.standard_normal(3 * 65536) * sigma_code), -32768, 32767)
     m_bits = precision_from_report(dummy_report(0.70))
-    n_out = output_precision(m_bits, 4)
+    n_out = output_precision(m_bits)
     assert (m_bits, n_out) == (11, 14)
-    perm = bit_reversal_permutation(65536)
-    matrix = RecursiveMatrix(scaled_hadamard(4))
-    codes_i = mix_pools(msb_truncate(codeblock(raw.astype(np.int64)), m_bits), perm, matrix, 5, n_out)
-    codes_q = mix_pools(msb_truncate(codeblock(raw[::-1].astype(np.int64)), m_bits), perm, matrix, 4, n_out)
+    codes_i = mix_pools(msb_truncate(codeblock(raw.astype(np.int64)), m_bits), 65536, 5, n_out)
+    codes_q = mix_pools(msb_truncate(codeblock(raw[::-1].astype(np.int64)), m_bits), 65536, 4, n_out)
     assert codes_i.size == codes_q.size == 3 * 65536
     probe = codes_i[:100_000] * grid_step(n_out)
     assert ks_test(probe, "gaussian").p_value > 0.01
@@ -244,4 +233,4 @@ def test_gaussian_extract_end_to_end():
 def test_gaussian_extract_rejects_zero_passes():
     truncated = msb_truncate(codeblock(np.arange(-32768, 32768, dtype=np.int64)), 11)
     with pytest.raises(ValueError):
-        mix_pools(truncated, bit_reversal_permutation(65536), RecursiveMatrix(scaled_hadamard(4)), 0, 14)
+        mix_pools(truncated, 65536, 0, 14)

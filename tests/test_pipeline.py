@@ -20,9 +20,10 @@ import triqrng.pipeline
 from triqrng.adc import quantize_channel
 from triqrng.config import PipelineConfig
 from triqrng.entropy import extractable_length
+from triqrng.gaussian import encode_gaussian
 from triqrng.pipeline import BATCH_BLOCKS, Pipeline, StartupError, certify, rayleigh_amplitudes, run_pipeline
-from triqrng.rayleigh import savitzky_golay
-from triqrng.service import RandomService, encode_gaussian
+from triqrng.rayleigh import encode_rayleigh, savitzky_golay
+from triqrng.service import RandomService
 from triqrng.source import simulate_quadratures
 
 
@@ -138,6 +139,17 @@ def test_stream_identity_pinned():
     assert hashlib.sha256(gauss).hexdigest() == (
         "64f931e1a60fa5d924eea2c8f0ddc258c77275c05444a6a58af47b5d62677016")
     assert hashlib.sha256(run.rayleigh.astype("<f4").tobytes()).hexdigest() == (
+        "b7d5f13bd7ef7dc8904091836c1316df1f112253be988baeb07c8ffc5c162115")
+
+
+def test_wire_identity_pinned():
+    # SHA-256 of the served Gaussian and Rayleigh wire bytes of the
+    # test_stream_identity_pinned run
+    cfg = fast_config(certify_samples=1 << 16, recertify_every=64, pool_size=4096)
+    run = run_pipeline(cfg, duration_blocks=160, batch_blocks=32)
+    assert hashlib.sha256(encode_gaussian(run.gaussian_i, run.gaussian_q, run.n_out)).hexdigest() == (
+        "9d0dee6b955662546acb0bbb8e0edc78d467155fd3a0d9809dc922147295162d")
+    assert hashlib.sha256(encode_rayleigh(run.rayleigh)).hexdigest() == (
         "b7d5f13bd7ef7dc8904091836c1316df1f112253be988baeb07c8ffc5c162115")
 
 
