@@ -88,7 +88,7 @@ def _cmd_certify(args) -> int:
             reports = {ch: channel_report(ch, w, background[ch], cfg) for ch, w in windows.items()}
         else:
             reports = certify(cfg)
-    except ValueError as err:  # bad code files, or records the bound cannot be evaluated on
+    except (OSError, ValueError) as err:  # unreadable or bad code files, or records the bound rejects
         print(f"certify: {err}", file=sys.stderr)
         return 2
     payload = {ch: asdict(r) for ch, r in reports.items()}
@@ -162,10 +162,13 @@ def _cmd_test(args) -> int:
             data = Path(args.bits_file).read_bytes()
             reports.extend(bit_tests(BitBlock.from_bytes(data), alpha=args.alpha))
         if args.samples_file:
-            samples = np.fromfile(args.samples_file, dtype="<f4").astype(np.float64)
+            data = Path(args.samples_file).read_bytes()
+            if len(data) % 4:
+                raise ValueError(f"{args.samples_file}: {len(data)} bytes is not a whole number of float32s")
+            samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
             reports.append(ks_test(samples, args.reference, alpha=args.alpha))
             reports.append(chi2_test(samples, args.reference, alpha=args.alpha))
-    except ValueError as err:  # an input too short for its tests
+    except (OSError, ValueError) as err:  # a missing or unreadable file, or an input unfit for its tests
         print(f"test: {err}", file=sys.stderr)
         return 2
     if not reports:

@@ -139,7 +139,7 @@ def provision_seed(config: PipelineConfig) -> ToeplitzSeed:
     """
     spec = config.adc_spec()
     model = config.noise_model()
-    p = next_admissible(config.block_n + config.block_m - 1)
+    p = next_admissible(config.block_n - 1)
     bits = []
     for k in range(-(-2 * p // (SEED_FRAME * spec.bits))):
         frame = simulate_quadratures(model, SEED_FRAME, config.prng_seed + 900_000 + k)

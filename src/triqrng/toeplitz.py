@@ -1,15 +1,20 @@
-"""Strong extraction to uniform bits: seeded Toeplitz hashing over GF(2)
-plus the two-source cyclic-convolution extractor that provisions the seed.
+"""Strong extraction to uniform bits: seeded modified Toeplitz hashing over
+GF(2) plus the two-source cyclic-convolution extractor that provisions the seed.
 
-Toeplitz convention (fixed, golden-vector tested): for input length n and
-output length m, the matrix is m x n with
+Hash convention (fixed, golden-vector tested): for input length n and
+output length m, the matrix is the m x n block matrix (I_m | T), with T an
+m x (n - m) Toeplitz matrix. Column j of the whole matrix is
 
-    T[i][j] = s[n - 1 + i - j]
+    M[i][j] = 1 if i == j else 0      for j < m
+    M[i][j] = s[n - 1 + i - j]        for m <= j < n
 
-where s is the seed bit string of length n + m - 1, bit 0 first. Output
-bit i is the GF(2) inner product of row i with the input. Equivalently,
-output bits are coefficients n-1 .. n+m-2 of the carryless product
-s(t) * x(t).
+where s is the seed bit string of length n - 1, bit 0 first. Output bit i
+is the GF(2) inner product of row i with the input, so the output is the
+input head x[:m] XOR T times the tail x[m:]. Equivalently, T x[m:] is
+coefficients n-m-1 .. n-2 of the carryless product s(t) * x_tail(t).
+The family is universal_2 (Hayashi & Tsurumaru, IEEE TIT 62, 2213, 2016):
+if two tails are equal the heads differ, so the outputs differ; otherwise
+T times the tails' difference is uniform over the seeds.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .bits import BitBlock
 
 @dataclass
 class ToeplitzSeed:
-    """Seed bits defining one n->m Toeplitz hash."""
+    """Seed bits defining one n->m modified Toeplitz hash (I_m | T)."""
 
     bits: BitBlock
     n: int
@@ -33,8 +38,8 @@ class ToeplitzSeed:
     def __post_init__(self) -> None:
         if self.m > self.n:
             raise ValueError("m must be <= n")
-        if self.bits.len != self.n + self.m - 1:
-            raise ValueError(f"seed must hold n + m - 1 = {self.n + self.m - 1} bits, got {self.bits.len}")
+        if self.bits.len != self.n - 1:
+            raise ValueError(f"seed must hold n - 1 = {self.n - 1} bits, got {self.bits.len}")
 
 
 def toeplitz_extract(block: BitBlock, seed: ToeplitzSeed, m: int) -> BitBlock:
@@ -46,8 +51,10 @@ def toeplitz_extract(block: BitBlock, seed: ToeplitzSeed, m: int) -> BitBlock:
     s = seed.bits.bits()
     x = block.bits().astype(np.int64)
     n = seed.n
-    rows = s[(n - 1 + np.arange(m)[:, None]) - np.arange(n)[None, :]]
-    return BitBlock.from_bits(((rows.astype(np.int64) @ x) & 1).astype(np.uint8))
+    rows = np.zeros((m, n), dtype=np.int64)
+    rows[:, :m] = np.eye(m, dtype=np.int64)
+    rows[:, m:] = s[(n - 1 + np.arange(m)[:, None]) - np.arange(m, n)[None, :]]
+    return BitBlock.from_bits(((rows @ x) & 1).astype(np.uint8))
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -72,25 +79,33 @@ def clmul(a: int, b: int) -> int:
 class ToeplitzExtractor:
     """A seed expanded once for high-rate batch extraction.
 
-    "Four Russians" table method (Arlazarov et al. 1970; Albrecht, Bard &
-    Hart, ACM TOMS 2010): for input byte position p and byte value b,
-    table[p][b] is the XOR of the Toeplitz columns 8p..8p+7 that b selects
-    (MSB first), packed MSB-first into uint64 words with zero padding. A
-    block's output is the XOR of one table row per input byte, so the batch
-    path works on packed bytes end to end. Bit-exact against
-    toeplitz_extract for any n and m.
+    The whole head bytes x[:m//8] meet the identity part of (I_m | T), so
+    they are copied straight into the output words. The remaining input
+    bytes go through a "Four Russians" table (Arlazarov et al. 1970;
+    Albrecht, Bard & Hart, ACM TOMS 2010): for input byte position
+    p >= m//8 and byte value b, table[p - m//8][b] is the XOR of the matrix
+    columns 8p..8p+7 that b selects (MSB first), packed MSB-first into
+    uint64 words with zero padding. A byte holding both head and tail bits
+    gets identity columns for its head bits, and input pad bits select zero
+    columns. A block's output is its head XOR one table row per remaining
+    input byte, so the batch path works on packed bytes end to end.
+    Bit-exact against toeplitz_extract for any n and m.
     """
 
     def __init__(self, seed: ToeplitzSeed):
         self.seed = seed
         n, m = seed.n, seed.m
-        n_bytes, n_words = -(-n // 8), -(-m // 64)
-        # column j of T is s[n-1-j : n-1-j+m]
-        columns = sliding_window_view(seed.bits.bits(), m)[::-1]
-        packed = np.zeros((8 * n_bytes, 8 * n_words), dtype=np.uint8)
-        packed[:n, : (m + 7) // 8] = np.packbits(columns, axis=1)
-        packed = packed.view(np.uint64).reshape(n_bytes, 8, n_words)
-        table = np.zeros((n_bytes, 256, n_words), dtype=np.uint64)
+        self._n_bytes, self._head = -(-n // 8), m // 8
+        n_words = -(-m // 64)
+        first = 8 * self._head  # first input bit the table covers
+        columns = np.zeros((8 * self._n_bytes - first, m), dtype=np.uint8)
+        columns[np.arange(first, m) - first, np.arange(first, m)] = 1
+        if n > m:  # column j >= m is s[n-1-j : n-1-j+m]
+            columns[m - first : n - first] = sliding_window_view(seed.bits.bits(), m)[::-1]
+        packed = np.zeros((columns.shape[0], 8 * n_words), dtype=np.uint8)
+        packed[:, : (m + 7) // 8] = np.packbits(columns, axis=1)
+        packed = packed.view(np.uint64).reshape(-1, 8, n_words)
+        table = np.zeros((packed.shape[0], 256, n_words), dtype=np.uint64)
         for k in range(8):  # byte bit of value 2^k selects column 8p + 7 - k
             w = 1 << k
             table[:, w : 2 * w] = table[:, :w] ^ packed[:, 7 - k, None, :]
@@ -98,13 +113,15 @@ class ToeplitzExtractor:
 
     def extract_batch(self, blocks: np.ndarray) -> np.ndarray:
         """(B, ceil(n/8)) packed uint8 rows -> (B, ceil(m/8)) packed uint8 rows."""
-        table = self._table
-        if blocks.dtype != np.uint8 or blocks.ndim != 2 or blocks.shape[1] != table.shape[0]:
-            raise ValueError(f"expected (B, {table.shape[0]}) packed uint8 array")
-        acc = table[0].take(blocks[:, 0], axis=0)
-        for p in range(1, table.shape[0]):
-            acc ^= table[p].take(blocks[:, p], axis=0)
-        return np.ascontiguousarray(acc.view(np.uint8)[:, : (self.seed.m + 7) // 8])
+        table, head = self._table, self._head
+        if blocks.dtype != np.uint8 or blocks.ndim != 2 or blocks.shape[1] != self._n_bytes:
+            raise ValueError(f"expected (B, {self._n_bytes}) packed uint8 array")
+        acc = np.zeros((blocks.shape[0], table.shape[2]), dtype=np.uint64)
+        out = acc.view(np.uint8)
+        out[:, :head] = blocks[:, :head]
+        for p in range(len(table)):
+            acc ^= table[p].take(blocks[:, head + p], axis=0)
+        return np.ascontiguousarray(out[:, : (self.seed.m + 7) // 8])
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +183,11 @@ def dodis_extract(x: BitBlock, y: BitBlock, m: int) -> BitBlock:
 def seed_chain(bits: np.ndarray, n: int, m: int) -> ToeplitzSeed:
     """Assemble an n->m Toeplitz seed from raw entropy bits via Dodis extraction.
 
-    With p the smallest admissible prime >= n + m - 1, takes x = bits[:p]
-    and y = bits[p:2p] and keeps the first n + m - 1 bits of
+    With p the smallest admissible prime >= n - 1, takes x = bits[:p]
+    and y = bits[p:2p] and keeps the first n - 1 bits of
     dodis_extract(x, y).
     """
-    need = n + m - 1
+    need = n - 1
     p = next_admissible(need)
     if bits.size < 2 * p:
         raise ValueError(f"seed_chain needs 2 * {p} = {2 * p} raw bits, got {bits.size}")

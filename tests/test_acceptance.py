@@ -63,15 +63,15 @@ def test_c02_toeplitz_oracle_equivalence():
     rng = np.random.default_rng(2025)
     checked = 0
     for n in range(1, 11):
-        m = max(1, n - 2)
-        seed = ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, n + m - 1).astype(np.uint8)), n, m)
         xs = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-        packed = ToeplitzExtractor(seed).extract_batch(np.packbits(xs, axis=1))
-        batch = np.unpackbits(packed, axis=1, count=m)
-        for x, out in zip(xs, batch):
-            assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, m).bits())
-            checked += 1
-    seed = ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, 2559).astype(np.uint8)), 1536, 1024)
+        for m in sorted({max(1, n - 2), n}):  # m == n: T is empty, the output is the head
+            seed = ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, n - 1).astype(np.uint8)), n, m)
+            packed = ToeplitzExtractor(seed).extract_batch(np.packbits(xs, axis=1))
+            batch = np.unpackbits(packed, axis=1, count=m)
+            for x, out in zip(xs, batch):
+                assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, m).bits())
+                checked += 1
+    seed = ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, 1535).astype(np.uint8)), 1536, 1024)
     xs = rng.integers(0, 2, (1000, 1536)).astype(np.uint8)
     packed = ToeplitzExtractor(seed).extract_batch(np.packbits(xs, axis=1))
     batch = np.unpackbits(packed, axis=1, count=1024)
@@ -82,20 +82,19 @@ def test_c02_toeplitz_oracle_equivalence():
 
 def test_c03_leftover_hash_desk_proof():
     n, m = 12, 2
-    n_seeds = 1 << (n + m - 1)
-    support = np.arange(256, dtype=np.uint64)  # min-entropy 8 source in 12 bits
+    n_seeds = 1 << (n - 1)
+    # min-entropy 8 source in 12 bits whose head bits 0..m-1 are constant, so
+    # the identity part passes nothing uniform through
+    support = np.arange(256, dtype=np.uint64) << np.uint64(4)
     seeds = np.arange(n_seeds, dtype=np.uint64)
 
-    def reverse_low_bits(v: np.ndarray, width: int) -> np.ndarray:
-        out = np.zeros_like(v)
-        for b in range(width):
-            out |= ((v >> np.uint64(b)) & np.uint64(1)) << np.uint64(width - 1 - b)
-        return out
-
-    # row i of the hash as an n-bit mask: T[i][j] = s[n-1+i-j]
+    # row i of (I_m | T) as an n-bit mask, bit j for input bit j: bit i,
+    # and bit j >= m where s[n-1+i-j] is set
     outputs = np.zeros((n_seeds, support.size), dtype=np.uint64)
     for i in range(m):
-        masks = reverse_low_bits((seeds >> np.uint64(i)) & np.uint64((1 << n) - 1), n)
+        masks = np.full(n_seeds, 1 << i, dtype=np.uint64)
+        for j in range(m, n):
+            masks |= ((seeds >> np.uint64(n - 1 + i - j)) & np.uint64(1)) << np.uint64(j)
         parity = (np.bitwise_count(masks[:, None] & support[None, :]) & 1).astype(np.uint64)
         outputs |= parity << np.uint64(i)
 
@@ -104,8 +103,8 @@ def test_c03_leftover_hash_desk_proof():
     for _ in range(100):
         s_idx = int(rng.integers(0, n_seeds))
         x_idx = int(rng.integers(0, support.size))
-        s_bits = np.array([(s_idx >> b) & 1 for b in range(n + m - 1)], dtype=np.uint8)
-        x_bits = np.array([(x_idx >> b) & 1 for b in range(n)], dtype=np.uint8)
+        s_bits = np.array([(s_idx >> b) & 1 for b in range(n - 1)], dtype=np.uint8)
+        x_bits = np.array([(int(support[x_idx]) >> b) & 1 for b in range(n)], dtype=np.uint8)
         seed = ToeplitzSeed(BitBlock.from_bits(s_bits), n, m)
         ref = toeplitz_extract(BitBlock.from_bits(x_bits), seed, m).bits()
         val = int(outputs[s_idx, x_idx])

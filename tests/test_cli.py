@@ -252,6 +252,30 @@ def test_test_refuses_an_input_too_short_for_its_tests(tmp_path, capsys, flag, d
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, argv", [
+    pytest.param("test", ["--bits"], id="test-bits"),
+    pytest.param("test", ["--samples"], id="test-samples"),
+    pytest.param("certify", ["--i", "{p}", "--q", "{p}", "--bg-i", "{p}", "--bg-q"], id="certify-codes"),
+])
+def test_a_missing_input_file_exits_2(tmp_path, capsys, command, argv):
+    # exit 1 from `test` means a test failed, so a missing file must not read as one
+    missing = str(tmp_path / "missing.bin")
+    args = [command] + [a.format(p=missing) for a in argv] + [missing]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{command}: ") and "missing.bin" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_test_refuses_a_partial_float32_sample_file(tmp_path, capsys):
+    path = tmp_path / "five.f32"
+    path.write_bytes(np.ones(1, dtype="<f4").tobytes() + b"\x00")
+    assert main(["test", "--samples", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("test: ") and "5 bytes is not a whole number of float32s" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, listen", [
     pytest.param(["--listen", "127.0.0.1:8123"], "127.0.0.1:8123", id="flag"),
     pytest.param([], default_config().listen, id="config"),

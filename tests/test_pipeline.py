@@ -135,7 +135,7 @@ def test_stream_identity_pinned():
     assert len(run.reports) == 3
     assert (len(run.uniform), run.gaussian_i.size, run.rayleigh.size) == (40960, 12288, 15360)
     assert hashlib.sha256(run.uniform).hexdigest() == (
-        "679912cb16fbac8c0669d37869e888c42d09247a9bf5a2ab988bf3bb45ad8599")
+        "a9b46180c8c0b6982f65b85ec2794eac907ab6add17e1e0d8f138c365760c0e1")
     assert hashlib.sha256(gauss).hexdigest() == (
         "64f931e1a60fa5d924eea2c8f0ddc258c77275c05444a6a58af47b5d62677016")
     assert hashlib.sha256(run.rayleigh.astype("<f4").tobytes()).hexdigest() == (
@@ -162,12 +162,12 @@ def test_certify_identity_pinned():
 
 
 def test_seed_identity_pinned():
-    # SHA-256 of the default config's packed Toeplitz seed (2559 bits): the
-    # seed is derived from the config at every start
+    # SHA-256 of the default config's packed Toeplitz seed (n - 1 = 1535
+    # bits): the seed is derived from the config at every start
     seed = Pipeline(PipelineConfig()).seed
-    assert seed.bits.len == 2559
+    assert seed.bits.len == 1535
     assert hashlib.sha256(seed.bits.tobytes()).hexdigest() == (
-        "3959cb007f5f1a20fedcbedff25271ddde387a687d27d55d5f70481ba6771f68")
+        "c0f0895d8f98cafa471c9f0c85fff73bffef34a3cb63ebb7dce07901ee1781c7")
 
 
 def test_startup_gate_rejects_overcommitted_geometry():

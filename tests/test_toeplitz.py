@@ -23,18 +23,19 @@ def bits(s: str) -> BitBlock:
 
 
 def make_seed(n: int, m: int, rng) -> ToeplitzSeed:
-    return ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, n + m - 1).astype(np.uint8)), n, m)
+    return ToeplitzSeed(BitBlock.from_bits(rng.integers(0, 2, n - 1).astype(np.uint8)), n, m)
 
 
 def test_golden_vector_hand_multiplied():
-    # n=4, m=2, seed s = 10110 (s0..s4), T[i][j] = s[3 + i - j]:
-    #   row 0: s3 s2 s1 s0 = 1 1 0 1
-    #   row 1: s4 s3 s2 s1 = 0 1 1 0
-    # input x = 1100: out0 = 1*1 ^ 1*1 ^ 0*0 ^ 1*0 = 0; out1 = 0^1^0^0 = 1
-    seed = ToeplitzSeed(bits("10110"), n=4, m=2)
-    out = toeplitz_extract(bits("1100"), seed, 2)
+    # n=4, m=2, seed s = 101 (s0..s2); the matrix is (I_2 | T) with
+    # T[i][j] = s[3 + i - j] for the tail columns j = 2, 3:
+    #   row 0: 1 0 | s1 s0 = 1 0 | 0 1
+    #   row 1: 0 1 | s2 s1 = 0 1 | 1 0
+    # input x = 1101: head 11, T * tail(01) = 10, out = 11 ^ 10 = 01
+    seed = ToeplitzSeed(bits("101"), n=4, m=2)
+    out = toeplitz_extract(bits("1101"), seed, 2)
     assert list(out.bits()) == [0, 1]
-    packed = ToeplitzExtractor(seed).extract_batch(np.packbits(bits("1100").bits()[None, :], axis=1))
+    packed = ToeplitzExtractor(seed).extract_batch(np.packbits(bits("1101").bits()[None, :], axis=1))
     assert np.unpackbits(packed, axis=1, count=2).tolist() == [[0, 1]]
 
 
@@ -66,14 +67,32 @@ def extract_bits(seed: ToeplitzSeed, xs: np.ndarray) -> np.ndarray:
 
 
 def test_fast_matches_naive_exhaustive_small():
+    # every m from 1 to n, so odd widths, a byte holding both head and tail
+    # bits, and m == n (T is empty and the output is the head)
     rng = np.random.default_rng(2)
-    for n in range(2, 7):
-        m = max(1, n - 2)
-        seed = make_seed(n, m, rng)
+    for n in range(1, 11):
         xs = all_inputs(n)
-        batch = extract_bits(seed, xs)
-        for x, out in zip(xs, batch):
-            assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, m).bits())
+        for m in range(1, n + 1):
+            seed = make_seed(n, m, rng)
+            batch = extract_bits(seed, xs)
+            for x, out in zip(xs, batch):
+                assert np.array_equal(out, toeplitz_extract(BitBlock.from_bits(x), seed, m).bits())
+            if m == n:
+                assert np.array_equal(batch, xs)
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (5, 2), (6, 3), (7, 7), (8, 3), (9, 4), (10, 8)])
+def test_every_pair_collides_on_at_most_a_2_pow_minus_m_share_of_seeds(n, m):
+    # universal_2, checked exhaustively: each pair x != x' has equal outputs
+    # under at most a 2^-m share of all 2^(n-1) seeds (none when m == n)
+    packed = np.packbits(all_inputs(n), axis=1)
+    collisions = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    for s in range(1 << (n - 1)):
+        seed_bits = np.array([(s >> b) & 1 for b in range(n - 1)], dtype=np.uint8)
+        out = ToeplitzExtractor(ToeplitzSeed(BitBlock.from_bits(seed_bits), n, m)).extract_batch(packed)
+        collisions += out[:, None, 0] == out[None, :, 0]  # m <= 8: one output byte
+    np.fill_diagonal(collisions, 0)
+    assert collisions.max() << m <= 1 << (n - 1)
 
 
 def test_fast_matches_naive_production_geometry():
@@ -134,8 +153,8 @@ def test_admissible_prime_table():
     assert [p for p in range(62) if is_admissible(p)] == [3, 5, 11, 13, 19, 29, 37, 53, 59, 61]
     for bad in (7, 17, 23, 31, 41, 43, 47, 4, 9, 15):
         assert not is_admissible(bad)
-    assert next_admissible(2559) == 2579
-    assert is_admissible(2579)
+    assert next_admissible(1535) == 1549
+    assert is_admissible(1549)
 
 
 def naive_cyclic_convolution(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -192,18 +211,18 @@ def test_seed_chain_length_and_determinism():
         return np.random.default_rng(seed).integers(0, 2, 8192).astype(np.uint8)
 
     s1 = seed_chain(raw(8), 1536, 1024)
-    assert s1.bits.len == 1536 + 1024 - 1 == 2559
+    assert s1.bits.len == 1536 - 1 == 1535
     assert s1.bits == seed_chain(raw(8), 1536, 1024).bits
     assert s1.bits != seed_chain(raw(9), 1536, 1024).bits
     # x and y are the first two p-bit slices; bits past 2p are not read
-    p = next_admissible(2559)
+    p = next_admissible(1535)
     tail = raw(8)
     tail[2 * p:] ^= 1
     assert seed_chain(tail, 1536, 1024).bits == s1.bits
 
 
 def test_seed_chain_exhaustion_error():
-    with pytest.raises(ValueError, match="2 \\* 101 = 202 raw bits, got 64"):
+    with pytest.raises(ValueError, match="2 \\* 67 = 134 raw bits, got 64"):
         seed_chain(np.ones(64, dtype=np.uint8), 64, 32)
 
 
@@ -242,7 +261,7 @@ def _oracle_seed(cfg: PipelineConfig) -> tuple[ToeplitzSeed, int]:
             k += 1
 
     source = _OracleBitSource(raw_blocks())
-    need = cfg.block_n + cfg.block_m - 1
+    need = cfg.block_n - 1
     p = next_admissible(need)
     x = BitBlock.from_bits(source.take(p))
     y = BitBlock.from_bits(source.take(p))
@@ -250,9 +269,9 @@ def _oracle_seed(cfg: PipelineConfig) -> tuple[ToeplitzSeed, int]:
 
 
 @pytest.mark.parametrize("adc_bits, block_n, block_m, frames", [
-    (16, 1536, 1024, 1),   # the preset: 2p = 5158 bits from one 65536-bit frame
-    (4, 4800, 4096, 2),    # n + m - 1 = 8895 > 8192: y spans frames 0 and 1
-    (4, 8192, 8192, 3),    # 2p > 32768: three frames
+    (16, 1536, 1024, 1),   # the preset: 2p = 3098 bits from one 65536-bit frame
+    (4, 8192, 4096, 2),    # p = 8219 > 16384 / 2: y spans frames 0 and 1
+    (4, 16384, 8192, 3),   # 2p > 32768: three frames
 ])
 def test_provision_seed_matches_the_frame_buffering_oracle(adc_bits, block_n, block_m, frames):
     cfg = PipelineConfig(adc_bits=adc_bits, block_n=block_n, block_m=block_m, prng_seed=21)
