@@ -26,7 +26,6 @@ from .source import (
     NoiseModel,
     QuadratureFrame,
     lo_power_sweep,
-    psd_estimate,
     simulate_quadratures,
 )
 from .stats import GofReport, bit_tests, chi2_test, ks_test

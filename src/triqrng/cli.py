@@ -83,7 +83,8 @@ def _cmd_certify(args) -> int:
     try:
         if any(file_args):
             i, q, bg_i, bg_q = [CodeBlock.fromfile(path, cfg.adc_spec()).codes for path in file_args]
-            background = {ch: w.psd() for ch, w in record_windows(cfg, zip("iq", (bg_i, bg_q))).items()}
+            bg_windows = record_windows(cfg, zip("iq", (bg_i, bg_q)))
+            background = {ch: w.autocovariance() for ch, w in bg_windows.items()}
             windows = record_windows(cfg, zip("iq", (i, q)))
             reports = {ch: channel_report(ch, w, background[ch], cfg) for ch, w in windows.items()}
         else:

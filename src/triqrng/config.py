@@ -44,7 +44,6 @@ class PipelineConfig:
     filter_taps: tuple[float, ...] = PRESET_TAPS
     lo_power_mw: float = PRESET_LO_POWER_MW
     responsivity: float = PRESET_RESPONSIVITY
-    sample_rate_hz: float = 2.0e9  # labeling only; no fidelity claim
     prng_seed: int = 7
     # [adc]
     adc_bits: int = 16
@@ -70,7 +69,6 @@ class PipelineConfig:
     # [pipeline]
     recertify_every: int = 4096
     certify_samples: int = 1 << 20
-    psd_segment: int = 4096
     prediction_order: int = DEFAULT_PREDICTION_ORDER
 
     def noise_model(self) -> NoiseModel:
@@ -114,30 +112,24 @@ class PipelineConfig:
             raise ConfigError("passes_i and passes_q must be >= 1")
         if self.recertify_every < 1:
             raise ConfigError("recertify_every must be >= 1")
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample_rate_hz must be positive")
         if not 0 < self.gate_alpha < 1:
             raise ConfigError("gate_alpha must be in (0, 1)")
         if self.max_request_bytes < 1:
             raise ConfigError("max_request_bytes must be >= 1")
         if self.max_request_bytes > self.buffer_bytes:
             raise ConfigError("max_request_bytes must be <= buffer_bytes (a larger request is never served)")
-        if self.psd_segment < 8 or self.psd_segment & (self.psd_segment - 1):
-            raise ConfigError("psd_segment must be a power of two >= 8")
-        if self.certify_samples < self.psd_segment:
-            raise ConfigError("certify_samples must be >= psd_segment")
-        if not 0 <= self.prediction_order <= self.psd_segment // 2:
-            raise ConfigError("prediction_order must be in [0, psd_segment // 2]")
+        if not 0 <= self.prediction_order < self.certify_samples:
+            raise ConfigError("prediction_order must be >= 0 and below certify_samples")
 
 
 # [adc] keys set the adc_<key> fields
 _SECTIONS = {
-    "source": ("sigma_e2", "filter_taps", "lo_power_mw", "responsivity", "sample_rate_hz", "prng_seed"),
+    "source": ("sigma_e2", "filter_taps", "lo_power_mw", "responsivity", "prng_seed"),
     "adc": ("bits", "range_v", "dnl_max", "dnl_seed"),
     "extraction": ("block_n", "block_m", "epsilon", "pool_size", "passes_i", "passes_q",
                    "sg_window", "sg_order", "gof_samples"),
     "service": ("listen", "max_request_bytes", "buffer_bytes", "request_timeout_s", "gate_alpha"),
-    "pipeline": ("recertify_every", "certify_samples", "psd_segment", "prediction_order"),
+    "pipeline": ("recertify_every", "certify_samples", "prediction_order"),
 }
 # INI key -> (its section, the PipelineConfig field it sets)
 _FIELD_OF = {key: (section, "adc_" + key if section == "adc" else key)

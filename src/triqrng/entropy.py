@@ -9,9 +9,11 @@ with g* the balance point  erf(dx/(2g)) = erfc(r/g)  between the
 most-likely-bin mass and the out-of-range tail mass. The nonlinear-ADC
 variant widens the worst-case bin to dx*(1 + DNL_max). The effective
 occupation comes from the measured variance and the conditional variance
-of the quantum signal (one-step linear prediction error derived from its
-PSD), and the extractable length follows the leftover hash lemma with a
-log2(1/(2 eps^2)) penalty.
+of the quantum signal (its one-step linear-prediction error, from its
+autocovariance lags by the Levinson-Durbin recursion), and the extractable
+length follows the leftover hash lemma with a log2(1/(2 eps^2)) penalty.
+LagWindow keeps the lag sums of one channel's ADC codes over a trailing
+window of fed batches.
 
 All logarithms are base 2; entropies are in bits.
 """
@@ -19,6 +21,7 @@ All logarithms are base 2; entropies are in bits.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +33,7 @@ from .adc import AdcSpec
 G_STAR_REL_TOL = 1e-12
 DEFAULT_EPSILON = 2.0**-32
 DEFAULT_PREDICTION_ORDER = 16
+LAG_CHUNK = 8192  # samples per np.correlate call: OpenBLAS runs a dot this short on one thread
 
 
 @dataclass
@@ -48,7 +52,6 @@ class EntropyReport:
     adc_bits: int
     dnl_max: float
     prediction_order: int
-    psd_segment: int
     n_samples: int
 
     def __post_init__(self) -> None:
@@ -149,41 +152,88 @@ def effective_photon_number(sigma_m2: float, sigma_qc2: float) -> float:
     return sigma_m2 / (2.0 * sigma_qc2) - 0.5
 
 
-def conditional_variance(psd, order: int = DEFAULT_PREDICTION_ORDER) -> float:
-    """One-step linear-prediction error variance of a process with this PSD.
+class LagWindow:
+    """Streaming lag sums of one channel's codes over a trailing window of batches.
 
-    `psd` is a sequence of (frequency, one-sided density) rows as returned
-    by psd_estimate. The autocovariance is recovered by inverse transform
-    and the prediction error at the requested order comes from the
-    Levinson-Durbin recursion; order 0 returns the process variance.
+    Each fed batch keeps its sample count, its sum and its lag products
+    sum x_t x_(t-k), k = 0..order, over the samples t it holds: a product
+    belongs to the batch of its later sample, the last `order` samples
+    carry into the next batches, and a product reaching before the first
+    fed sample is zero. Once the newer batches alone hold `window_samples`
+    samples the oldest batch leaves the window. On integer codes every
+    partial sum is an exact integer while the window's sums stay below
+    2^53 (16-bit codes: up to 2^23 samples), so the sums do not depend on
+    how the stream was split.
     """
-    arr = np.asarray(psd, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("psd must be (nbins, 2) rows of (frequency, density)")
-    freqs, dens = arr[:, 0], arr[:, 1]
-    if np.any(dens <= 0):
-        raise ValueError("degenerate spectrum: PSD bins must be strictly positive")
+
+    def __init__(self, order: int, window_samples: int):
+        self.order = order
+        self.window_samples = window_samples
+        self._tail = np.zeros(order)
+        self._batches: deque[tuple[int, float, np.ndarray]] = deque()  # (samples, sum, lag sums)
+        self.n_samples = 0
+
+    def feed(self, codes) -> None:
+        """Add one batch of codes that continues the fed stream."""
+        codes = np.asarray(codes)
+        if codes.size == 0:
+            return
+        p = self.order
+        lags = np.zeros(p + 1)  # lags[p - k] is the lag-k sum
+        total = 0.0
+        buf = self._tail
+        for s in range(0, codes.size, LAG_CHUNK):  # float64 one chunk at a time
+            x = codes[s : s + LAG_CHUNK].astype(np.float64)
+            buf = np.concatenate([buf[buf.size - p :], x])
+            lags += np.correlate(buf, x, "valid")
+            total += float(x.sum())
+        self._tail = buf[buf.size - p :].copy()
+        self._batches.append((codes.size, total, lags[::-1]))
+        self.n_samples += codes.size
+        while self.n_samples - self._batches[0][0] >= self.window_samples:
+            self.n_samples -= self._batches.popleft()[0]
+
+    def autocovariance(self) -> np.ndarray:
+        """Lags 0..order of the window: pooled lag sums over n minus the squared mean.
+
+        Lag 0 is the population variance of the window's samples.
+        """
+        n = self.n_samples
+        if n <= self.order:
+            raise ValueError(f"need more than prediction_order={self.order} samples, got {n}")
+        total = sum(b[1] for b in self._batches)
+        lags = sum(b[2] for b in self._batches)
+        return lags / n - (total / n) ** 2
+
+
+def conditional_variance(acov, order: int = DEFAULT_PREDICTION_ORDER) -> float:
+    """One-step linear-prediction error variance of a process with these lags.
+
+    `acov` holds the autocovariance at lags 0, 1, ... (at least order + 1
+    of them). The Levinson-Durbin recursion gives the error at the
+    requested order; order 0 returns the lag-0 variance. Fails closed:
+    lags that are not positive definite up to the order raise ValueError,
+    seen as an error <= 0 (a reflection coefficient of magnitude >= 1
+    makes the next error <= 0).
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    nfft = (arr.shape[0] - 1) * 2
-    if order > nfft // 2:
-        raise ValueError("prediction order too large for this PSD resolution")
-    df = freqs[1] - freqs[0]
-    fs = nfft * df
-    # undo the one-sided fold, then irfft * fs integrates density -> autocovariance
-    half = dens.copy()
-    half[1:-1] *= 0.5
-    acov = np.fft.irfft(half, n=nfft)[: order + 1] * fs
-    err = float(acov[0])
-    if order == 0:
-        return err
+    r = np.asarray(acov, dtype=np.float64)
+    if r.ndim != 1 or r.size <= order:
+        raise ValueError(f"need autocovariance lags 0..{order}")
+    err = float(r[0])
+    if not err > 0:
+        raise ValueError(f"lag-0 variance {err} is not positive")
     a = np.zeros(order + 1)
     a[0] = 1.0
     for k in range(1, order + 1):
-        lam = -float(np.dot(a[:k], acov[k:0:-1])) / err
+        lam = -float(np.dot(a[:k], r[k:0:-1])) / err
         a[: k + 1] = a[: k + 1] + lam * a[k::-1]
         err *= 1.0 - lam * lam
-    return float(err)
+        if not err > 0:
+            raise ValueError(f"lags not positive definite: prediction error {err} at order {k} "
+                             f"(reflection coefficient {lam})")
+    return err
 
 
 def extractable_length(n_bits: int, h_min_per_bit: float, epsilon: float) -> int:

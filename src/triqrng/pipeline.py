@@ -19,11 +19,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .adc import AdcSpec, CodeBlock, dequantize, quantize_channel
+from .adc import AdcSpec, CodeBlock, quantize_channel
 from .bits import codes_to_bits
 from .config import PipelineConfig
 from .entropy import (
     EntropyReport,
+    LagWindow,
     conditional_variance,
     effective_photon_number,
     extractable_length,
@@ -32,12 +33,11 @@ from .entropy import (
 )
 from .gaussian import mix_pools, msb_truncate, output_precision, precision_from_report
 from .rayleigh import rayleigh_raw, savitzky_golay
-from .source import NoiseModel, WelchAccumulator, simulate_quadratures
+from .source import NoiseModel, simulate_quadratures
 from .toeplitz import ToeplitzExtractor, ToeplitzSeed, next_admissible, seed_chain
 
 log = logging.getLogger(__name__)
 
-PSD_FLOOR_FRACTION = 1e-12
 BATCH_BLOCKS = 512  # per-channel blocks per batch made by run_pipeline, bench and the service
 SEED_FRAME = 4096  # samples per simulated frame drawn for the Toeplitz seed
 
@@ -48,25 +48,23 @@ class StartupError(RuntimeError):
 
 def channel_report(
     channel: str,
-    total: WelchAccumulator,
-    psd_background: np.ndarray,
+    window: LagWindow,
+    background: np.ndarray,
     config: PipelineConfig,
 ) -> EntropyReport:
-    """Certify one channel from the Welch window of its digitized samples.
+    """Certify one channel from the lag window of its ADC codes.
 
-    The quantum-only PSD is the total PSD minus the LO-off background PSD
-    (floored to stay positive); its prediction error at the configured
-    order is the conditional quantum variance feeding the effective photon
-    number.
+    The quantum-only lags are the window's autocovariance lags minus the
+    LO-off `background` lags, both in codes^2 and scaled to V^2 here; their
+    prediction error at the configured order is the conditional quantum
+    variance feeding the effective photon number. Lags that are not
+    positive definite raise ValueError.
     """
     spec = config.adc_spec()
-    sigma_m2 = total.variance()
-    psd_total = total.psd()
-    quantum = psd_total[:, 1] - psd_background[:, 1]
-    floor = PSD_FLOOR_FRACTION * float(psd_total[:, 1].max())
-    quantum = np.maximum(quantum, floor)
-    psd_quantum = np.column_stack([psd_total[:, 0], quantum])
-    sigma_qc2 = conditional_variance(psd_quantum, config.prediction_order)
+    acov = window.autocovariance()
+    volts2 = spec.bin_width**2  # volts are (code + 0.5) * bin_width; centred lags drop the offset
+    sigma_m2 = float(acov[0]) * volts2
+    sigma_qc2 = conditional_variance((acov - background) * volts2, config.prediction_order)
     n_eff = effective_photon_number(sigma_m2, sigma_qc2)
     h_sample = min_entropy_nonlinear(n_eff, spec)
     h_sample = min(max(h_sample, 0.0), float(spec.bits))
@@ -84,47 +82,40 @@ def channel_report(
         adc_bits=spec.bits,
         dnl_max=spec.dnl_max,
         prediction_order=config.prediction_order,
-        psd_segment=config.psd_segment,
-        n_samples=total.n_samples,
+        n_samples=window.n_samples,
     )
 
 
 def record_windows(config: PipelineConfig, record: Iterable[tuple[str, np.ndarray]]
-                   ) -> dict[str, WelchAccumulator]:
-    """Per-channel trailing Welch windows of `certify_samples`, opened on one
+                   ) -> dict[str, LagWindow]:
+    """Per-channel trailing lag windows of `certify_samples`, opened on one
     digitized record given as (channel, ADC codes) pairs."""
-    spec = config.adc_spec()
     windows = {}
     for channel, codes in record:
-        # drop each channel's codes and volts before the next pair is taken:
-        # with a lazy `record` the startup peak holds one channel at a time
-        volts = dequantize(codes, spec)
-        del codes
-        windows[channel] = WelchAccumulator(config.psd_segment, config.certify_samples, config.sample_rate_hz)
-        windows[channel].feed(volts)
-        del volts
+        windows[channel] = LagWindow(config.prediction_order, config.certify_samples)
+        windows[channel].feed(codes)
     return windows
 
 
 def _simulated_windows(config: PipelineConfig, model: NoiseModel, prng_seed: int
-                       ) -> dict[str, WelchAccumulator]:
+                       ) -> dict[str, LagWindow]:
     """`record_windows` of a simulated record of `certify_samples` samples."""
     spec = config.adc_spec()
-    frame = simulate_quadratures(model, config.certify_samples, prng_seed, config.sample_rate_hz)
+    frame = simulate_quadratures(model, config.certify_samples, prng_seed)
     return record_windows(config, ((channel, quantize_channel(volts, spec).codes)
                                    for channel, volts in (("i", frame.i_samples), ("q", frame.q_samples))))
 
 
-def background_psd(config: PipelineConfig) -> dict[str, np.ndarray]:
-    """Welch PSD per channel of a simulated, digitized LO-off background record."""
+def background_lags(config: PipelineConfig) -> dict[str, np.ndarray]:
+    """Autocovariance lags per channel of a simulated, digitized LO-off background record."""
     bg_model = replace(config.noise_model(), sigma_q2=0.0, lo_power_mw=0.0, responsivity=None)
     windows = _simulated_windows(config, bg_model, config.prng_seed + 10_000)
-    return {channel: window.psd() for channel, window in windows.items()}
+    return {channel: window.autocovariance() for channel, window in windows.items()}
 
 
 def certify(config: PipelineConfig) -> dict[str, EntropyReport]:
     """Simulate the startup record and its LO-off background and certify both channels."""
-    background = background_psd(config)
+    background = background_lags(config)
     windows = _simulated_windows(config, config.noise_model(), config.prng_seed)
     return {ch: channel_report(ch, w, background[ch], config) for ch, w in windows.items()}
 
@@ -160,15 +151,14 @@ def rayleigh_amplitudes(i_vals: np.ndarray, q_vals: np.ndarray, window: int, ord
     return raw.astype(np.float32)
 
 
-def _chunk_codes(model: NoiseModel, spec: AdcSpec, prng_seed: int, count: int, sample_rate_hz: float
-                ) -> tuple[CodeBlock, CodeBlock]:
+def _chunk_codes(model: NoiseModel, spec: AdcSpec, prng_seed: int, count: int) -> tuple[CodeBlock, CodeBlock]:
     """One stream chunk's I and Q codes, a pure function of the arguments.
 
     It runs on a Pipeline's source worker, so it holds no reference to the
     Pipeline, and it looks `simulate_quadratures` and `quantize_channel` up
     as this module's globals at each call.
     """
-    frame = simulate_quadratures(model, count, prng_seed, sample_rate_hz)
+    frame = simulate_quadratures(model, count, prng_seed)
     return quantize_channel(frame.i_samples, spec), quantize_channel(frame.q_samples, spec)
 
 
@@ -185,14 +175,15 @@ class BlockBatch:
 class Pipeline:
     """Block-streaming engine bound to one config.
 
-    Startup simulates an LO-off background record, whose Welch PSD is
-    kept, and a startup record, which opens the per-channel trailing Welch
-    windows of `certify_samples` samples; every batch that asks for
-    uniform output feeds its dequantized I/Q codes to the same windows.
-    One routine closes and judges them: at startup, where a worst-channel
+    Startup simulates an LO-off background record, whose autocovariance
+    lags are kept, and a startup record, which opens the per-channel
+    trailing lag windows of `certify_samples` samples; every batch that
+    asks for uniform output feeds its I/Q codes to the same windows. One
+    routine closes and judges them: at startup, where a worst-channel
     budget below `block_m` or a window the bound cannot be evaluated on
-    raises StartupError before the Toeplitz seed is derived from the
-    config, and before each such batch's uniform bytes are returned. A
+    (lags minus background not positive definite) raises StartupError
+    before the Toeplitz seed is derived from the config, and before each
+    such batch's uniform bytes are returned. A
     stream window whose budget falls below `block_m` stops uniform output
     for good, and one whose precision rule gives fewer Gaussian input bits
     than startup stops Gaussian output for good; each stopped type is
@@ -206,10 +197,10 @@ class Pipeline:
     submits chunk k+1, at its own sample count, to a worker thread started
     by the first batch, which simulates and digitizes it while this batch
     is certified and extracted. A prefetched chunk is used only when the
-    model, ADC spec, seed, count and sample rate it was made from are the
-    ones the next batch needs, so the bytes are those of making every
-    chunk in line. Memory holds one more chunk. A dropped Pipeline ends
-    its worker by reference counting.
+    model, ADC spec, seed and count it was made from are the ones the next
+    batch needs, so the bytes are those of making every chunk in line.
+    Memory holds one more chunk. A dropped Pipeline ends its worker by
+    reference counting.
     """
 
     def __init__(self, config: PipelineConfig):
@@ -225,7 +216,7 @@ class Pipeline:
         self._source = ThreadPoolExecutor(max_workers=1, thread_name_prefix="triqrng-source")
         self._ahead: tuple[tuple, Future] | None = None  # (inputs, future codes) of the next chunk
 
-        self._background = background_psd(config)
+        self._background = background_lags(config)
         self._windows = _simulated_windows(config, self.model, config.prng_seed)
         self.reports: list[dict[str, EntropyReport]] = []
         self._close_windows()
@@ -290,8 +281,7 @@ class Pipeline:
 
     def _chunk_inputs(self, index: int, count: int) -> tuple:
         """The `_chunk_codes` arguments of stream chunk `index`."""
-        return (self.model, self.spec, self.config.prng_seed + 1_000_000 + index, count,
-                self.config.sample_rate_hz)
+        return (self.model, self.spec, self.config.prng_seed + 1_000_000 + index, count)
 
     def _next_codes(self, n_blocks: int) -> tuple[CodeBlock, CodeBlock]:
         """The next chunk's codes, and the chunk after it submitted to the worker.
@@ -352,7 +342,7 @@ class Pipeline:
         ray = np.zeros(0, dtype=np.float32)
         if "uniform" in want:
             for channel, codes in (("i", codes_i), ("q", codes_q)):
-                self._windows[channel].feed(dequantize(codes.codes, self.spec))
+                self._windows[channel].feed(codes.codes)
             self._close_windows()
             if "uniform" not in self.stopped:
                 uniform = self._extract_uniform(codes_i, codes_q, n_blocks)

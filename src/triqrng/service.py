@@ -17,8 +17,10 @@ the internal bit-test subset; buffers that fail the gate are discarded
 and counted. Once the pipeline stops an output type (fail closed), the
 producer makes no more of it, uniform bytes still waiting for the gate
 are dropped, and requests the buffer cannot fill get 503 at once;
-`/health` reports `certified: false` once uniform output stopped. Every
-byte is served at most once (monotone per-type served offsets).
+`/health` reports `certified: false` once uniform output stopped. Within
+one process every byte is served at most once (monotone per-type served
+offsets); a restarted service makes its stream again from the config, so
+it replays the bytes an earlier process served.
 Plaintext HTTP, no auth: this is a demonstration analog, not a hardened
 service.
 """

@@ -9,14 +9,12 @@ correlation filter. Gaussian deviates come from numpy's PCG64 generator
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 TAP_NORM_TOL = 1e-6
 LINEARITY_TOL = 1e-9
-SEGMENTS_PER_FFT = 32  # Welch segments per batched FFT call; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,6 @@ class QuadratureFrame:
 
     i_samples: np.ndarray
     q_samples: np.ndarray
-    sample_rate_hz: float = 1.0
 
     def __post_init__(self) -> None:
         self.i_samples = np.asarray(self.i_samples, dtype=np.float64)
@@ -125,9 +122,7 @@ def _channel(rng: np.random.Generator, model: NoiseModel, count: int, excess_var
     return out
 
 
-def simulate_quadratures(
-    model: NoiseModel, count: int, prng_seed: int, sample_rate_hz: float = 1.0
-) -> QuadratureFrame:
+def simulate_quadratures(model: NoiseModel, count: int, prng_seed: int) -> QuadratureFrame:
     """Generate `count` paired I/Q samples, deterministic for a fixed seed.
 
     Each channel is white Gaussian quantum noise of variance sigma_q2
@@ -143,7 +138,6 @@ def simulate_quadratures(
     return QuadratureFrame(
         i_samples=_channel(rng_i, model, count, model.sigma_e2),
         q_samples=_channel(rng_q, model, count, e_q),
-        sample_rate_hz=sample_rate_hz,
     )
 
 
@@ -174,95 +168,6 @@ def lo_power_sweep(
         bg = simulate_quadratures(m_bg, samples_per_point, prng_seed + 2 * k + 1)
         out.append((float(p), float(np.var(tot.i_samples)), float(np.var(bg.i_samples))))
     return out
-
-
-class WelchAccumulator:
-    """Streaming Welch PSD and variance over a trailing window of batches.
-
-    Segments are Hann-windowed with 50% overlap and aligned to the start of
-    the fed stream: the samples after the last whole segment carry into the
-    next batch, so batch boundaries never change which segments exist. Each
-    fed batch keeps its sample count, mean, variance and the periodogram sum
-    of the segments that end inside it. Once the newer batches alone hold
-    `window_samples` samples the oldest batch leaves the window; with
-    `window_samples=None` every batch stays.
-    """
-
-    def __init__(self, segment_length: int, window_samples: int | None = None,
-                 sample_rate_hz: float = 1.0):
-        if segment_length < 8 or segment_length & (segment_length - 1):
-            raise ValueError("segment_length must be a power of two >= 8")
-        self.segment_length = segment_length
-        self.window_samples = window_samples
-        self.sample_rate_hz = sample_rate_hz
-        self._win = np.hanning(segment_length)
-        self._tail = np.zeros(0)
-        # (samples, mean, variance, periodogram sum, segments) per fed batch
-        self._batches: deque[tuple[int, float, float, np.ndarray, int]] = deque()
-        self.n_samples = 0
-
-    @property
-    def filled(self) -> bool:
-        """The window holds at least `window_samples` samples."""
-        return self.window_samples is not None and self.n_samples >= self.window_samples
-
-    def feed(self, samples) -> None:
-        """Add one batch of samples that continues the fed stream."""
-        x = np.asarray(samples, dtype=np.float64)
-        if x.size == 0:
-            return
-        buf = np.concatenate([self._tail, x]) if self._tail.size else x
-        length = self.segment_length
-        step = length // 2
-        nseg = (buf.size - length) // step + 1 if buf.size >= length else 0
-        acc = np.zeros(length // 2 + 1)
-        for s0 in range(0, nseg, SEGMENTS_PER_FFT):
-            s1 = min(s0 + SEGMENTS_PER_FFT, nseg)
-            segments = np.lib.stride_tricks.sliding_window_view(buf[s0 * step : (s1 + 1) * step], length)[::step]
-            power = np.abs(np.fft.rfft(segments * self._win, axis=1)) ** 2
-            for row in power:  # one row at a time, in segment order: the sum keeps its rounding
-                acc += row
-        self._tail = buf[nseg * step :].copy()
-        self._batches.append((x.size, float(x.mean()), float(np.var(x)), acc, nseg))
-        self.n_samples += x.size
-        while self.filled and self.n_samples - self._batches[0][0] >= self.window_samples:
-            self.n_samples -= self._batches.popleft()[0]
-
-    def variance(self) -> float:
-        """Population variance of the samples in the window (pooled per batch)."""
-        n = self.n_samples
-        mean = sum(k / n * m for k, m, *_ in self._batches)
-        return sum(k / n * (v + (m - mean) ** 2) for k, m, v, *_ in self._batches)
-
-    def psd(self) -> np.ndarray:
-        """One-sided density over the segments that end in the window.
-
-        Returns an (nbins, 2) array of (frequency, density) rows.
-        """
-        nseg = sum(b[4] for b in self._batches)
-        if nseg == 0:
-            raise ValueError("need at least segment_length samples")
-        acc = np.zeros(self.segment_length // 2 + 1)
-        for b in self._batches:
-            acc += b[3]
-        density = acc / (nseg * np.sum(self._win**2) * self.sample_rate_hz)
-        density[1:-1] *= 2.0  # fold negative frequencies
-        freqs = np.fft.rfftfreq(self.segment_length, d=1.0 / self.sample_rate_hz)
-        return np.column_stack([freqs, density])
-
-
-def psd_estimate(samples, segment_length: int, sample_rate_hz: float = 1.0) -> np.ndarray:
-    """Welch-averaged one-sided power spectral density of one record.
-
-    Hann window, 50% overlap, density scaling: summing the returned
-    densities times the bin spacing recovers the sample variance
-    (Parseval, within estimator error).
-
-    Returns an (nbins, 2) array of (frequency, density) rows.
-    """
-    welch = WelchAccumulator(segment_length, sample_rate_hz=sample_rate_hz)
-    welch.feed(samples)
-    return welch.psd()
 
 
 def write_frame_raw(frame: QuadratureFrame, i_path: str, q_path: str) -> None:

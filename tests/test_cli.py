@@ -76,6 +76,18 @@ def test_certify_from_code_files(fast_ini, tmp_path, capsys):
     assert 0.5 < doc["i"]["h_min_per_bit"] < 0.9
 
 
+def test_certify_refuses_a_record_of_at_most_prediction_order_samples(fast_ini, tmp_path, capsys):
+    # 16 samples give no lag-16 product to predict from; the background is long enough
+    sig, bg = str(tmp_path / "sig"), str(tmp_path / "bg")
+    assert main(["-c", fast_ini, "simulate", "-n", "16", "--out", sig, "--format", "codes"]) == 0
+    assert main(["-c", fast_ini, "simulate", "-n", "4096", "--out", bg, "--format", "codes"]) == 0
+    capsys.readouterr()
+    rc = main(["-c", fast_ini, "certify", "--i", sig + ".i.i16", "--q", sig + ".q.i16",
+               "--bg-i", bg + ".i.i16", "--bg-q", bg + ".q.i16"])
+    assert rc == 2
+    assert "need more than prediction_order=16 samples, got 16" in capsys.readouterr().err
+
+
 def test_certify_rejects_codes_beyond_the_adc_depth(tmp_path, capsys):
     from dataclasses import replace
 

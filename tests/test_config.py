@@ -47,9 +47,9 @@ def test_validation():
 @pytest.mark.parametrize("field, value", [
     ("sg_window", 30), ("sg_window", -1), ("sg_order", 31), ("sg_order", -1),
     ("passes_i", 0), ("passes_q", 0), ("recertify_every", 0),
-    ("psd_segment", 1000), ("psd_segment", 4), ("certify_samples", 2048),
-    ("prediction_order", 2049), ("max_request_bytes", 8 * 1024 * 1024 + 1),
-    ("max_request_bytes", 0), ("sample_rate_hz", 0.0), ("sample_rate_hz", -2.0e9),
+    ("certify_samples", 16), ("certify_samples", 0), ("prediction_order", -1),
+    ("prediction_order", 1 << 20), ("epsilon", 0.0), ("block_m", 2048),
+    ("max_request_bytes", 8 * 1024 * 1024 + 1), ("max_request_bytes", 0),
     ("gate_alpha", 5.0), ("gate_alpha", 0.0), ("gate_alpha", 1.0),
     ("sigma_e2", math.nan), ("adc_range_v", math.nan), ("lo_power_mw", math.nan),
     ("request_timeout_s", math.nan), ("gate_alpha", math.nan), ("responsivity", math.inf),
@@ -59,9 +59,9 @@ def test_values_that_fail_later_are_rejected_at_load(field, value):
     # left to run, each of these fails or misbehaves only inside the
     # pipeline: at the first Rayleigh batch (killing a service producer),
     # as unmixed Gaussian output, by recertifying on every call, at
-    # Pipeline start (a zero sample rate divides by zero, a negative one
-    # and a NaN float fail certification or quantization) or in
-    # conditional_variance, as a request larger than the buffer or
+    # Pipeline start (a NaN float fails certification or quantization, a
+    # window of at most prediction_order samples has no lags to predict
+    # from), as a request larger than the buffer or
     # smaller than a byte that can never be served, or as a gate that
     # discards every chunk (alpha >= 1) or none (alpha 0)
     with pytest.raises(ValueError, match=field):
@@ -69,8 +69,8 @@ def test_values_that_fail_later_are_rejected_at_load(field, value):
 
 
 def test_pipeline_and_service_limits_are_inclusive():
-    PipelineConfig(psd_segment=8, certify_samples=8, prediction_order=4,
-                   buffer_bytes=1 << 20, max_request_bytes=1 << 20)
+    PipelineConfig(certify_samples=5, prediction_order=4, buffer_bytes=1 << 20, max_request_bytes=1 << 20)
+    PipelineConfig(prediction_order=0)
 
 
 def test_block_sizes_must_be_whole_bytes():
@@ -100,7 +100,7 @@ def configs(draw) -> PipelineConfig:
     block_n = math.lcm(8, bits) * draw(st.integers(1, 8))  # whole codes and whole bytes
     sg_window = 2 * draw(st.integers(0, 40)) + 1
     buffer_bytes = draw(st.integers(1, 1 << 30))
-    psd_segment = 1 << draw(st.integers(3, 16))
+    certify_samples = draw(st.integers(1, 1 << 24))
     host = draw(st.sampled_from(["127.0.0.1", "0.0.0.0", "localhost", "::1"]))
     taps = draw(st.lists(_finite(-10, 10), min_size=1, max_size=6).filter(lambda t: max(map(abs, t)) > 1e-3))
     values = {
@@ -108,7 +108,6 @@ def configs(draw) -> PipelineConfig:
         "filter_taps": normalized_taps(taps),
         "lo_power_mw": draw(_finite(0, 1e3)),
         "responsivity": draw(_finite(0, 1e3)),
-        "sample_rate_hz": draw(_finite(1, 1e12)),
         "prng_seed": draw(st.integers(0, 2**64)),  # above 2^53 a float loses the seed
         "adc_bits": bits,
         "adc_range_v": draw(_finite(1e-6, 10)),
@@ -129,9 +128,8 @@ def configs(draw) -> PipelineConfig:
         "request_timeout_s": draw(_finite(1e-3, 1e4)),
         "gate_alpha": draw(_finite(0, 1, exclude_min=True, exclude_max=True)),
         "recertify_every": draw(st.integers(1, 1 << 40)),
-        "certify_samples": draw(st.integers(psd_segment, 1 << 24)),
-        "psd_segment": psd_segment,
-        "prediction_order": draw(st.integers(0, psd_segment // 2)),
+        "certify_samples": certify_samples,
+        "prediction_order": draw(st.integers(0, certify_samples - 1)),
     }
     assert set(values) == {f.name for f in fields(PipelineConfig)}  # every field, so a new one is covered
     return PipelineConfig(**values)
@@ -167,6 +165,10 @@ def _default_ini(tmp_path) -> str:
     pytest.param(lambda t: t.replace("pool_size = 65536", "pool_size = 65540"), "pool_size", id="pool-not-power-of-two"),
     pytest.param(lambda t: t.replace("[source]\n", "[source]\nsigma_q2 = 5.3e-06\n"), "sigma_q2",
                  id="derived-sigma-q2"),
+    pytest.param(lambda t: t.replace("[pipeline]\n", "[pipeline]\npsd_segment = 4096\n"), "psd_segment",
+                 id="removed-psd-segment"),
+    pytest.param(lambda t: t.replace("[source]\n", "[source]\nsample_rate_hz = 2e9\n"), "sample_rate_hz",
+                 id="removed-sample-rate"),
     pytest.param(lambda t: "[DEFAULT]\nblock_n = 768\n" + t, "DEFAULT", id="default-section"),
     pytest.param(lambda t: "block_n = 768\n" + t, "no section headers", id="not-ini"),
 ])

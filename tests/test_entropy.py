@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from triqrng.adc import AdcSpec
 from triqrng.entropy import (
+    LagWindow,
     conditional_variance,
     effective_photon_number,
     extractable_length,
@@ -13,7 +15,6 @@ from triqrng.entropy import (
     min_entropy_nonlinear,
     solve_g_star,
 )
-from triqrng.source import psd_estimate
 
 
 def bisect_oracle(dx, r, iters=200):
@@ -111,56 +112,112 @@ def test_effective_photon_number_values():
         effective_photon_number(1.0, 0.0)
 
 
+def record_lags(x, order: int = 16) -> np.ndarray:
+    """Autocovariance lags 0..order of one record, fed as one batch."""
+    window = LagWindow(order, x.size)
+    window.feed(x)
+    return window.autocovariance()
+
+
+def ar1(a: float, n: int, seed: int) -> np.ndarray:
+    w = np.random.default_rng(seed).standard_normal(n)
+    x = np.empty_like(w)
+    x[0] = w[0]
+    for i in range(1, w.size):
+        x[i] = a * x[i - 1] + w[i]
+    return x
+
+
 def test_conditional_variance_white_noise_is_total_variance():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(1 << 19)
-    psd = psd_estimate(x, 1024)
-    cv = conditional_variance(psd, order=16)
-    assert abs(cv / np.var(x) - 1.0) < 0.02
+    cv = conditional_variance(record_lags(x), order=16)
+    assert abs(cv / np.var(x) - 1.0) < 0.01
 
 
 def test_conditional_variance_order_zero_is_total_variance():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(1 << 18) * 1.7
-    psd = psd_estimate(x, 512)
-    assert conditional_variance(psd, order=0) == pytest.approx(np.var(x), rel=0.02)
+    assert conditional_variance(record_lags(x), order=0) == pytest.approx(np.var(x), rel=1e-12)
 
 
 def test_conditional_variance_ar1_closed_form():
     # AR(1) innovation variance: sigma^2 (total variance sigma^2 / (1 - a^2))
     a, s2 = 0.6, 1.0
-    rng = np.random.default_rng(2)
-    w = rng.standard_normal(1 << 20) * math.sqrt(s2)
-    x = np.empty_like(w)
-    x[0] = w[0]
-    for i in range(1, w.size):
-        x[i] = a * x[i - 1] + w[i]
-    psd = psd_estimate(x, 2048)
+    exact = s2 * a ** np.arange(17) / (1 - a * a)
+    lags = record_lags(ar1(a, 1 << 20, seed=2))
     for order in (1, 4, 16):
-        cv = conditional_variance(psd, order=order)
-        assert abs(cv / s2 - 1.0) < 0.05, order
+        assert conditional_variance(exact, order=order) == pytest.approx(s2, rel=1e-12)
+        assert abs(conditional_variance(lags, order=order) / s2 - 1.0) < 0.01, order
 
 
 def test_conditional_variance_non_increasing_in_order():
-    a = 0.8
-    rng = np.random.default_rng(3)
-    w = rng.standard_normal(1 << 19)
-    x = np.empty_like(w)
-    x[0] = w[0]
-    for i in range(1, w.size):
-        x[i] = a * x[i - 1] + w[i]
-    psd = psd_estimate(x, 1024)
-    cvs = [conditional_variance(psd, order=p) for p in (0, 1, 2, 8, 16)]
+    lags = record_lags(ar1(0.8, 1 << 19, seed=3))
+    cvs = [conditional_variance(lags, order=p) for p in (0, 1, 2, 8, 16)]
     total = cvs[0]
     assert all(cv <= total * (1 + 1e-9) for cv in cvs)
     assert all(a2 <= a1 * (1 + 1e-9) for a1, a2 in zip(cvs, cvs[1:]))
 
 
 def test_conditional_variance_rejects_degenerate_spectrum():
-    psd = np.column_stack([np.linspace(0, 0.5, 65), np.ones(65)])
-    psd[3, 1] = 0.0
+    # lags that are not positive definite belong to no spectrum >= 0
+    for lags, order in (([1.0, 1.5], 1), ([1.0, 1.0], 1), ([0.0, 0.0], 1), ([-1.0], 0),
+                        ([1.0, 0.9, 0.0], 2)):
+        with pytest.raises(ValueError):
+            conditional_variance(np.array(lags), order=order)
     with pytest.raises(ValueError):
-        conditional_variance(psd)
+        conditional_variance(np.ones(4), order=4)  # fewer lags than the order needs
+
+
+def _naive_window_lags(stream: list[int], sizes: list[int], order: int, window: int):
+    """Exact lag sums of the trailing window, from Python ints over the whole stream."""
+    keep = len(sizes) - 1
+    while keep > 0 and sum(sizes[keep:]) < window:
+        keep -= 1
+    start, end = sum(sizes[:keep]), len(stream)
+    n = end - start
+    total = sum(stream[start:end])
+    lags = [sum(stream[t] * stream[t - k] for t in range(max(start, k), end)) for k in range(order + 1)]
+    return n, np.array([float(v) / n - (float(total) / n) ** 2 for v in lags])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 90), min_size=1, max_size=12), bits=st.sampled_from([4, 16, 24]),
+       order=st.integers(0, 20), window=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[5, 3, 4], bits=16, order=2, window=7, seed=0)  # the last two batches hold exactly 7
+def test_lag_window_equals_the_naive_window_for_any_batch_split(sizes, bits, order, window, seed):
+    # batches as short as one sample, so the carried tail spans several
+    half = 1 << (bits - 1)
+    stream = np.random.default_rng(seed).integers(-half, half, size=sum(sizes)).tolist()
+    lag_window = LagWindow(order, window)
+    offset = 0
+    for size in sizes:
+        lag_window.feed(np.array(stream[offset:offset + size], dtype=np.int32))
+        offset += size
+    n, expect = _naive_window_lags(stream, sizes, order, window)
+    assert lag_window.n_samples == n
+    if n <= order:
+        with pytest.raises(ValueError, match="prediction_order"):
+            lag_window.autocovariance()
+        return
+    got = lag_window.autocovariance()
+    if bits <= 16:
+        assert np.array_equal(got, expect)
+    else:
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+
+def test_lag_window_on_a_startup_record_equals_the_naive_sums_bit_for_bit():
+    # 2^18 full-scale 16-bit codes in uneven batches: every partial sum is an exact integer
+    rng = np.random.default_rng(4)
+    codes = rng.integers(-(1 << 15), 1 << 15, size=1 << 18)
+    window = LagWindow(16, 1 << 18)
+    for part in np.split(codes, [5, 9000, 9003, 100_000, 200_000]):
+        window.feed(part.astype(np.int32))
+    x = [int(v) for v in codes]
+    lags = [sum(a * b for a, b in zip(x[k:], x)) for k in range(17)]
+    n, total = len(x), sum(x)
+    assert np.array_equal(window.autocovariance(), np.array([v / n - (total / n) ** 2 for v in lags]))
 
 
 def test_extractable_length_penalty_free_epsilon():

@@ -36,7 +36,6 @@ def dummy_report(h_per_bit: float, bits: int = 16) -> EntropyReport:
         adc_bits=bits,
         dnl_max=0.1,
         prediction_order=16,
-        psd_segment=4096,
         n_samples=1 << 20,
     )
 

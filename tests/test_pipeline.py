@@ -158,7 +158,7 @@ def test_certify_identity_pinned():
     reports = certify(PipelineConfig())
     text = json.dumps({ch: asdict(r) for ch, r in reports.items()}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a5e217d77bdd5227bf3858093b9af8f93c5091ac958b8bf0460794c6f9de9b8b")
+        "e74e7e5cd4fd7a09f62866c6a51e2ad5be867bc53b0eef939fda022657b9defc")
 
 
 def test_seed_identity_pinned():
@@ -178,11 +178,14 @@ def test_startup_gate_rejects_overcommitted_geometry():
     assert "block_m=1248" in msg and "budget" in msg
 
 
-def test_startup_window_the_bound_cannot_be_evaluated_on_is_refused():
-    # no excess noise and a one-tap filter: the conditional quantum
-    # variance exceeds the measured one, so no effective photon number exists
-    with pytest.raises(StartupError, match="certification failed"):
-        Pipeline(fast_config(sigma_e2=0.0, filter_taps=(1.0,)))
+def test_startup_window_the_bound_cannot_be_evaluated_on_is_refused(monkeypatch):
+    # an LO-off background four times the excess noise is louder than the
+    # whole startup record: the quantum lag-0 variance is negative
+    real = triqrng.pipeline.background_lags
+    monkeypatch.setattr(triqrng.pipeline, "background_lags",
+                        lambda cfg: real(replace(cfg, sigma_e2=4 * cfg.sigma_e2)))
+    with pytest.raises(StartupError, match="certification failed.*not positive"):
+        Pipeline(fast_config())
 
 
 def test_every_uniform_batch_closes_the_startup_windows(monkeypatch):
@@ -211,7 +214,7 @@ def test_startup_gate_matches_extractable_length():
 def test_recertification_cadence():
     # stream reports close a trailing window of the extracted codes; one is
     # logged once the window has filled and recertify_every blocks passed
-    cfg = fast_config(recertify_every=256, certify_samples=1 << 14, psd_segment=1024)
+    cfg = fast_config(recertify_every=256, certify_samples=1 << 15)
     pipe = Pipeline(cfg)
     assert len(pipe.reports) == 1
     counts = []
@@ -219,13 +222,13 @@ def test_recertification_cadence():
         pipe.process_blocks(64, want={"uniform"})  # 6144 samples per channel
         counts.append(len(pipe.reports))
     assert counts == [1, 1, 1, 2, 2, 2, 2, 3]
-    # the window keeps the fewest latest batches holding 2^14 samples
-    assert {r.n_samples for r in pipe.reports[-1].values()} == {3 * 6144}
+    # the window keeps the fewest latest batches holding 2^15 samples
+    assert {r.n_samples for r in pipe.reports[-1].values()} == {6 * 6144}
     assert pipe.stopped == {}
 
 
 def test_reports_log_accumulates():
-    cfg = fast_config(recertify_every=4, certify_samples=1 << 14, psd_segment=1024)
+    cfg = fast_config(recertify_every=4, certify_samples=1 << 15)
     run = run_pipeline(cfg, 512, batch_blocks=64)
     assert len(run.reports) >= 2
 
@@ -294,6 +297,20 @@ def test_window_that_cannot_be_certified_stops_uniform_and_gaussian(monkeypatch)
     assert set(pipe.stopped) == {"uniform", "gaussian"}
 
 
+def test_stream_below_its_background_stops_uniform_and_gaussian():
+    # the LO goes off and the excess noise halves: a window of such codes
+    # has lags below the LO-off background's, which the bound cannot use
+    cfg = fast_config(certify_samples=1 << 16)
+    pipe = Pipeline(cfg)
+    assert pipe.process_blocks(512).uniform
+    m = pipe.model
+    pipe.model = replace(m, sigma_q2=0.0, lo_power_mw=0.0, responsivity=None, sigma_e2=m.sigma_e2 / 2)
+    batch = pipe.process_blocks(1024)  # 98,304 samples: the window holds this batch alone
+    assert batch.uniform == b"" and batch.gaussian_i.size == 0 and batch.rayleigh.size > 0
+    assert set(pipe.stopped) == {"uniform", "gaussian"}
+    assert all("certification failed" in reason for reason in pipe.stopped.values())
+
+
 # -- the one-batch-ahead source stage ----------------------------------------
 
 OUTPUT_TYPES = ("uniform", "gaussian", "rayleigh")
@@ -302,7 +319,7 @@ OUTPUT_TYPES = ("uniform", "gaussian", "rayleigh")
 def serial_codes(pipe: Pipeline, index: int, count: int):
     """Oracle for stream chunk `index` under the pipeline's current inputs."""
     cfg = pipe.config
-    frame = simulate_quadratures(pipe.model, count, cfg.prng_seed + 1_000_000 + index, cfg.sample_rate_hz)
+    frame = simulate_quadratures(pipe.model, count, cfg.prng_seed + 1_000_000 + index)
     return quantize_channel(frame.i_samples, pipe.spec), quantize_channel(frame.q_samples, pipe.spec)
 
 
