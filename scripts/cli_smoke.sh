@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# CLI smoke as a process: each subcommand run the way a user runs it, from
+# the repo's own sources. Usage: bash scripts/cli_smoke.sh (from any directory).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+cli() { PYTHONPATH=src python -m triqrng.cli "$@"; }
+# expect_exit CODE ARGS...: the CLI run with ARGS must exit with CODE
+expect_exit() {
+  local want=$1 rc=0
+  shift
+  cli "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne "$want" ]; then
+    echo "expected exit $want, got $rc: triqrng $*" >&2
+    return 1
+  fi
+}
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+cli init-config --out "$dir/smoke.ini"
+cli -c "$dir/smoke.ini" extract --type uniform --out "$dir/bits.bin"
+cli test --bits "$dir/bits.bin" > /dev/null
+# output is a function of the config alone: a fresh process gives the same bytes
+cli -c "$dir/smoke.ini" extract --type uniform --out "$dir/bits2.bin"
+cmp "$dir/bits.bin" "$dir/bits2.bin"
+cli -c "$dir/smoke.ini" extract --type gaussian --out "$dir/g.i16"
+cli -c "$dir/smoke.ini" extract --type gaussian --out "$dir/g2.i16"
+cmp "$dir/g.i16" "$dir/g2.i16"
+cli -c "$dir/smoke.ini" extract --type gaussian --format csv --out "$dir/g.csv"
+cli -c "$dir/smoke.ini" extract --type gaussian --format csv --out "$dir/g2.csv"
+cmp "$dir/g.csv" "$dir/g2.csv"
+cli -c "$dir/smoke.ini" extract --type rayleigh --out "$dir/r.f32"
+cli -c "$dir/smoke.ini" extract --type rayleigh --out "$dir/r2.f32"
+cmp "$dir/r.f32" "$dir/r2.f32"
+# an option that does nothing for the chosen type is refused, and nothing is written
+expect_exit 2 -c "$dir/smoke.ini" extract --type uniform --format csv --out "$dir/u.csv"
+test ! -e "$dir/u.csv"
+expect_exit 2 -c "$dir/smoke.ini" extract --type gaussian --histogram-mode --out "$dir/h.csv"
+test ! -e "$dir/h.csv"
+expect_exit 2 -c "$dir/smoke.ini" extract --type uniform --window 21 --out "$dir/w.bin"
+# a significance level outside (0, 1) is refused while the arguments are parsed
+expect_exit 2 test --bits "$dir/bits.bin" --alpha 0
+# a missing input, or samples that are not whole float32s, is a usage error, not a failed test
+expect_exit 2 test --bits "$dir/missing.bin"
+printf '\0\0\0\0\0' > "$dir/five.f32"
+expect_exit 2 test --samples "$dir/five.f32"
+sed 's/^block_m = .*/block_m = 1248/' "$dir/smoke.ini" > "$dir/greedy.ini"
+expect_exit 2 -c "$dir/greedy.ini" extract --type uniform --out "$dir/greedy.bin"
+sed 's/^block_n = /blok_n = /' "$dir/smoke.ini" > "$dir/misspelt.ini"
+expect_exit 2 -c "$dir/misspelt.ini" extract --type uniform --out "$dir/misspelt.bin"
+# certification is a function of the config alone: a fresh process writes the same JSON
+cli -c "$dir/smoke.ini" certify --json-out "$dir/cert.json" > /dev/null
+cli -c "$dir/smoke.ini" certify --json-out "$dir/cert2.json" > /dev/null
+cmp "$dir/cert.json" "$dir/cert2.json"
+# certify code files against an LO-off background record
+sed -e 's/^lo_power_mw = .*/lo_power_mw = 0.0/' -e 's/^prng_seed = .*/prng_seed = 4242/' \
+  "$dir/smoke.ini" > "$dir/lo_off.ini"
+cli -c "$dir/smoke.ini" simulate -n 262144 --format codes --out "$dir/sig" > /dev/null
+cli -c "$dir/lo_off.ini" simulate -n 262144 --format codes --out "$dir/bg" > /dev/null
+cli -c "$dir/smoke.ini" certify --i "$dir/sig.i.i16" --q "$dir/sig.q.i16" \
+  --bg-i "$dir/bg.i.i16" --bg-q "$dir/bg.q.i16" > /dev/null
+# a key the config no longer has (the Welch segment length) is refused
+sed 's/^\[pipeline\]$/[pipeline]\npsd_segment = 4096/' "$dir/smoke.ini" > "$dir/old.ini"
+grep -q '^psd_segment = 4096$' "$dir/old.ini"
+expect_exit 2 -c "$dir/old.ini" certify
+echo "CLI smoke passed"

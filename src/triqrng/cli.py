@@ -102,11 +102,18 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    for flag, given, used in (("--format csv", args.format == "csv", args.type != "uniform"),
+                              ("--histogram-mode", args.histogram_mode, args.type == "rayleigh"),
+                              ("--window", args.window is not None, args.type == "rayleigh"),
+                              ("--order", args.order is not None, args.type == "rayleigh")):
+        if given and not used:
+            print(f"extract: {flag} does nothing for --type {args.type}", file=sys.stderr)
+            return 2
     cfg = _config_from(args)
     smoothing = {"sg_window": args.window, "sg_order": args.order}
     cfg = replace(cfg, **{key: value for key, value in smoothing.items() if value is not None})
     run = run_pipeline(cfg, args.blocks, want={args.type})
-    if args.type == "rayleigh" and args.histogram_mode:
+    if args.histogram_mode:
         return _write_rayleigh_histogram(run.rayleigh, cfg, args)
     if args.type == "uniform":
         data = run.uniform

@@ -38,7 +38,8 @@ from .toeplitz import ToeplitzExtractor, ToeplitzSeed, next_admissible, seed_cha
 
 log = logging.getLogger(__name__)
 
-BATCH_BLOCKS = 512  # per-channel blocks per batch made by run_pipeline, bench and the service
+BATCH_BLOCKS = 512  # per-channel blocks per batch of run_pipeline and bench; the service's batch is at least this
+OUTPUT_TYPES = ("uniform", "gaussian", "rayleigh")
 SEED_FRAME = 4096  # samples per simulated frame drawn for the Toeplitz seed
 
 
@@ -178,20 +179,19 @@ class Pipeline:
     Startup simulates an LO-off background record, whose autocovariance
     lags are kept, and a startup record, which opens the per-channel
     trailing lag windows of `certify_samples` samples; every batch that
-    asks for uniform output feeds its I/Q codes to the same windows. One
-    routine closes and judges them: at startup, where a worst-channel
+    asks for uniform output, or that comes once uniform output has stopped
+    while Gaussian output runs, feeds its I/Q codes to the same windows.
+    One routine closes and judges them: at startup, where a worst-channel
     budget below `block_m` or a window the bound cannot be evaluated on
     (lags minus background not positive definite) raises StartupError
     before the Toeplitz seed is derived from the config, and before each
-    such batch's uniform bytes are returned. A
-    stream window whose budget falls below `block_m` stops uniform output
-    for good, and one whose precision rule gives fewer Gaussian input bits
-    than startup stops Gaussian output for good; each stopped type is
-    named in `stopped` with the reason. Batches that ask for uniform
-    output after it stopped still feed and certify the windows, so the
-    Gaussian check goes on. A stream report is appended to `reports` when
-    at least `recertify_every` blocks have passed since the last one, and
-    always when it stops an output.
+    fed batch's outputs are returned. A stream window whose budget falls
+    below `block_m` stops uniform output for good, and one whose precision
+    rule gives fewer Gaussian input bits than startup stops Gaussian
+    output for good; each stopped type is named in `stopped` with the
+    reason. A stream report is appended to `reports` when at least
+    `recertify_every` blocks have passed since the last one, and always
+    when it stops an output.
 
     Raw codes are made one batch ahead: the batch that takes chunk k
     submits chunk k+1, at its own sample count, to a worker thread started
@@ -324,14 +324,20 @@ class Pipeline:
     def process_blocks(
         self,
         n_blocks: int,
-        want: frozenset[str] | set[str] = frozenset({"uniform", "gaussian", "rayleigh"}),
+        want: frozenset[str] | set[str] = frozenset(OUTPUT_TYPES),
     ) -> BlockBatch:
         """Consume n_blocks worth of raw samples per channel and extract.
 
         Raw consumption is identical whatever `want` selects; the argument
         only routes which outputs are materialized. A type in `stopped`
-        yields no output.
+        yields no output. `n_blocks` below 1 or an unknown name in `want`
+        raises ValueError before any raw samples are consumed.
         """
+        if n_blocks < 1:
+            raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
+        unknown = set(want) - set(OUTPUT_TYPES)
+        if unknown:
+            raise ValueError(f"want names unknown output types {sorted(unknown)}, not in {OUTPUT_TYPES}")
         cfg = self.config
         codes_i, codes_q = self._next_codes(n_blocks)
         self.blocks_since_report += n_blocks
@@ -340,12 +346,13 @@ class Pipeline:
         gauss_i = np.zeros(0, dtype=np.int64)
         gauss_q = np.zeros(0, dtype=np.int64)
         ray = np.zeros(0, dtype=np.float32)
-        if "uniform" in want:
+        # windows keep checking Gaussian precision after uniform output stops
+        if "uniform" in want or ("uniform" in self.stopped and "gaussian" not in self.stopped):
             for channel, codes in (("i", codes_i), ("q", codes_q)):
                 self._windows[channel].feed(codes.codes)
             self._close_windows()
-            if "uniform" not in self.stopped:
-                uniform = self._extract_uniform(codes_i, codes_q, n_blocks)
+        if "uniform" in want and "uniform" not in self.stopped:
+            uniform = self._extract_uniform(codes_i, codes_q, n_blocks)
         gaussian = "gaussian" in want and "gaussian" not in self.stopped
         if gaussian or "rayleigh" in want:
             trunc_i = msb_truncate(codes_i, self._m_bits)
@@ -377,7 +384,7 @@ class PipelineRun:
 def run_pipeline(
     config: PipelineConfig,
     duration_blocks: int,
-    want: set[str] = frozenset({"uniform", "gaussian", "rayleigh"}),
+    want: set[str] = frozenset(OUTPUT_TYPES),
     batch_blocks: int = BATCH_BLOCKS,
 ) -> PipelineRun:
     """Run the streaming engine for a fixed number of per-channel blocks."""

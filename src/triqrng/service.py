@@ -12,12 +12,12 @@ Endpoints:
         the producer thread has died.
 
 Uniform bytes are only served from blocks whose own codes' trailing
-certification window cleared the leftover-hash budget, and gated through
-the internal bit-test subset; buffers that fail the gate are discarded
-and counted. Once the pipeline stops an output type (fail closed), the
-producer makes no more of it, uniform bytes still waiting for the gate
-are dropped, and requests the buffer cannot fill get 503 at once;
-`/health` reports `certified: false` once uniform output stopped. Within
+certification window cleared the leftover-hash budget, and each batch's
+uniform bytes pass the internal bit-test subset whole or are discarded
+whole and counted; nothing waits between batches. Once the pipeline stops
+an output type (fail closed), the producer makes no more of it and
+requests the buffer cannot fill get 503 at once; `/health` reports
+`certified: false` once uniform output stopped. Within
 one process every byte is served at most once (monotone per-type served
 offsets); a restarted service makes its stream again from the config, so
 it replays the bytes an earlier process served.
@@ -43,8 +43,6 @@ from .rayleigh import encode_rayleigh
 from .stats import MIN_BITS, bit_tests
 
 log = logging.getLogger(__name__)
-
-GATE_CHUNK_BYTES = MIN_BITS // 8  # uniform bytes per bit-test gate evaluation
 
 # Content type of each output type's wire format. Uniform bytes are
 # already packed bits; gaussian.py and rayleigh.py encode the other two.
@@ -122,15 +120,9 @@ class RandomService:
         self.pipeline: Pipeline | None = None
         self.discarded_buffers = 0
         self.producer_failed = False
-        # the pipeline's stops once the producer has acted on them: requests
-        # and /health read this, so none sees a stopped type whose bytes the
-        # producer has not dropped yet
-        self.stopped: dict[str, str] = {}
-        cap = config.buffer_bytes
-        self.buffers = {t: _ByteBuffer(cap) for t in CONTENT_TYPES}
+        self.buffers = {t: _ByteBuffer(config.buffer_bytes) for t in CONTENT_TYPES}
         self._httpd: _Server | None = None
         self._threads: list[threading.Thread] = []
-        self._pending_uniform = bytearray()
 
     # -- producer ----------------------------------------------------------
 
@@ -147,6 +139,8 @@ class RandomService:
 
     def _produce(self) -> None:
         assert self.pipeline is not None
+        # each batch's uniform bytes are one whole gate evaluation of at least MIN_BITS
+        n_blocks = max(BATCH_BLOCKS, -(-MIN_BITS // (2 * self.config.block_m)))
         while not self._stop.is_set():
             # materialize only the types whose buffers are below capacity
             # (pure routing); consume no raw samples when every buffer is full
@@ -155,23 +149,12 @@ class RandomService:
             if not want:
                 self._stop.wait(timeout=0.05)
                 continue
-            if "uniform" in self.pipeline.stopped and "gaussian" not in self.pipeline.stopped:
-                want.add("uniform")  # no output, but the stream windows keep checking Gaussian precision
-            batch = self.pipeline.process_blocks(BATCH_BLOCKS, want=want)
-            pending = self._pending_uniform
-            if "uniform" in self.pipeline.stopped:
-                pending.clear()  # held back from the gate, never to be served
-            self.stopped = dict(self.pipeline.stopped)
-            pending += batch.uniform
-            read = 0
-            while len(pending) - read >= GATE_CHUNK_BYTES:
-                chunk = bytes(pending[read:read + GATE_CHUNK_BYTES])
-                read += GATE_CHUNK_BYTES
-                if self._gate_uniform(chunk):
-                    self.buffers["uniform"].put(chunk)
+            batch = self.pipeline.process_blocks(n_blocks, want=want)
+            if batch.uniform:
+                if self._gate_uniform(batch.uniform):
+                    self.buffers["uniform"].put(batch.uniform)
                 else:
                     self.discarded_buffers += 1
-            del pending[:read]  # compact once per batch
             if batch.gaussian_i.size or batch.gaussian_q.size:
                 self.buffers["gaussian"].put(
                     encode_gaussian(batch.gaussian_i, batch.gaussian_q, self.pipeline.n_out))
@@ -232,10 +215,10 @@ class RandomService:
             self._send_json(req, 400, {"error": f"bytes must be in [1, {self.config.max_request_bytes}]"})
             return
         # a stopped type only drains what it released before it stopped
-        timeout = 0.0 if rtype in self.stopped else self.config.request_timeout_s
+        timeout = 0.0 if rtype in self.pipeline.stopped else self.config.request_timeout_s
         data = self.buffers[rtype].take(nbytes, timeout=timeout)
         if data is None:
-            reason = self.stopped.get(rtype)  # it may have stopped while the request waited
+            reason = self.pipeline.stopped.get(rtype)  # it may have stopped while the request waited
             if reason:
                 self._send_json(req, 503, {"error": f"{rtype} output stopped: {reason}", "retry": False})
             else:
@@ -253,8 +236,8 @@ class RandomService:
         assert self.pipeline is not None
         latest = self.pipeline.reports[-1]
         return {
-            "status": "failed" if self.producer_failed else "degraded" if self.stopped else "ok",
-            "certified": "uniform" not in self.stopped,
+            "status": "failed" if self.producer_failed else "degraded" if self.pipeline.stopped else "ok",
+            "certified": "uniform" not in self.pipeline.stopped,
             "certifications": len(self.pipeline.reports),
             "h_min_per_bit": {ch: r.h_min_per_bit for ch, r in latest.items()},
             "n_eff": {ch: r.n_eff for ch, r in latest.items()},

@@ -76,6 +76,25 @@ def test_certify_from_code_files(fast_ini, tmp_path, capsys):
     assert 0.5 < doc["i"]["h_min_per_bit"] < 0.9
 
 
+def test_certify_from_the_simulated_records_equals_certify(tmp_path, capsys):
+    # the startup record and its LO-off background, written as code files,
+    # certify to exactly the JSON of the simulated route
+    cfg = replace(default_config(), certify_samples=1 << 16, prng_seed=11)
+    ini, bg_ini = str(tmp_path / "sig.ini"), str(tmp_path / "bg.ini")
+    write_config(cfg, ini)
+    write_config(replace(cfg, lo_power_mw=0.0, prng_seed=cfg.prng_seed + 10_000), bg_ini)
+    sig, bg = str(tmp_path / "sig"), str(tmp_path / "bg")
+    count = str(cfg.certify_samples)
+    assert main(["-c", ini, "simulate", "-n", count, "--out", sig, "--format", "codes"]) == 0
+    assert main(["-c", bg_ini, "simulate", "-n", count, "--out", bg, "--format", "codes"]) == 0
+    capsys.readouterr()
+    assert main(["-c", ini, "certify"]) == 0
+    simulated = capsys.readouterr().out
+    assert main(["-c", ini, "certify", "--i", sig + ".i.i16", "--q", sig + ".q.i16",
+                 "--bg-i", bg + ".i.i16", "--bg-q", bg + ".q.i16"]) == 0
+    assert capsys.readouterr().out == simulated
+
+
 def test_certify_refuses_a_record_of_at_most_prediction_order_samples(fast_ini, tmp_path, capsys):
     # 16 samples give no lag-16 product to predict from; the background is long enough
     sig, bg = str(tmp_path / "sig"), str(tmp_path / "bg")
@@ -201,6 +220,22 @@ def test_extract_rejects_a_bad_smoothing_override(fast_ini, tmp_path, capsys):
     rc = main(["-c", fast_ini, "extract", "--type", "rayleigh", "--blocks", "8", "--out", out, "--window", "4"])
     assert rc == 2
     assert "sg_window must be a positive odd integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("rtype, flags, named", [
+    pytest.param("uniform", ["--format", "csv"], "--format csv", id="csv-uniform"),
+    pytest.param("gaussian", ["--histogram-mode"], "--histogram-mode", id="histogram-gaussian"),
+    pytest.param("uniform", ["--histogram-mode"], "--histogram-mode", id="histogram-uniform"),
+    pytest.param("gaussian", ["--window", "21"], "--window", id="window-gaussian"),
+    pytest.param("uniform", ["--order", "3"], "--order", id="order-uniform"),
+])
+def test_extract_refuses_an_option_that_does_nothing_for_its_type(fast_ini, tmp_path, capsys,
+                                                                  rtype, flags, named):
+    out = str(tmp_path / "out.bin")
+    assert main(["-c", fast_ini, "extract", "--type", rtype, "--blocks", "8", "--out", out, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("extract: ") and named in err and rtype in err
     assert not os.path.exists(out)
 
 

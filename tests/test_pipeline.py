@@ -311,6 +311,48 @@ def test_stream_below_its_background_stops_uniform_and_gaussian():
     assert all("certification failed" in reason for reason in pipe.stopped.values())
 
 
+def test_gaussian_only_batches_keep_certifying_after_uniform_stops():
+    # once uniform output has stopped, a batch that asks only for Gaussian
+    # output still feeds and closes the windows, so falling precision stops it
+    cfg = fast_config(pool_size=4096, recertify_every=1)
+    pipe = Pipeline(cfg)
+    _lower_lo_power(pipe, 2)
+    for _ in range(8):
+        pipe.process_blocks(512, want={"uniform"})
+        if "uniform" in pipe.stopped:
+            break
+    assert "uniform" in pipe.stopped and "gaussian" not in pipe.stopped
+    made = []
+    for _ in range(8):
+        logged = len(pipe.reports)
+        made.append(pipe.process_blocks(512, want={"gaussian"}).gaussian_i.size)
+        assert len(pipe.reports) == logged + 1  # this batch's window was closed
+        if "gaussian" in pipe.stopped:
+            break
+    assert "10 Gaussian input bits" in pipe.stopped["gaussian"]
+    assert made[-1] == 0 and all(made[:-1])
+    # with both certified types stopped, nothing is left to certify
+    logged = len(pipe.reports)
+    assert pipe.process_blocks(512, want={"gaussian"}).gaussian_i.size == 0
+    assert len(pipe.reports) == logged
+
+
+@pytest.mark.parametrize("n_blocks, want, match", [
+    pytest.param(0, {"uniform"}, "n_blocks", id="zero-blocks"),
+    pytest.param(-4, {"uniform"}, "n_blocks", id="negative-blocks"),
+    pytest.param(8, {"uniforn"}, "want.*uniforn", id="misspelt-type"),
+    pytest.param(8, {"gaussian", "exponential"}, "want.*exponential", id="unknown-type"),
+])
+def test_process_blocks_refuses_bad_arguments_before_consuming(n_blocks, want, match):
+    pipe = Pipeline(fast_config(certify_samples=1 << 16))
+    pipe.process_blocks(8, want={"rayleigh"})
+    state = (pipe._ahead, pipe._chunk_index, pipe.raw_samples_consumed)
+    with pytest.raises(ValueError, match=match):
+        pipe.process_blocks(n_blocks, want=want)
+    # the prefetched chunk is still waiting for the next batch
+    assert (pipe._ahead, pipe._chunk_index, pipe.raw_samples_consumed) == state
+
+
 # -- the one-batch-ahead source stage ----------------------------------------
 
 OUTPUT_TYPES = ("uniform", "gaussian", "rayleigh")

@@ -155,6 +155,52 @@ def test_gate_discards_failed_buffers_and_503():
         svc.stop()
 
 
+def test_a_failed_gate_drops_exactly_its_batch(monkeypatch):
+    # the gate judges each batch's uniform bytes whole: failing its third
+    # call removes that batch, and nothing else, from the served stream
+    made = []
+    real_process = Pipeline.process_blocks
+
+    def recorded(self, n_blocks, want=frozenset()):
+        batch = real_process(self, n_blocks, want)
+        if batch.uniform:
+            made.append(batch.uniform)
+        return batch
+
+    calls = []
+
+    def third_fails(self, chunk):
+        calls.append(len(chunk))
+        return len(calls) != 3
+
+    monkeypatch.setattr(Pipeline, "process_blocks", recorded)
+    monkeypatch.setattr(RandomService, "_gate_uniform", third_fails)
+    svc = RandomService(service_config())
+    svc.start()
+    try:
+        served = b"".join(_get(svc.port, "/random?type=uniform&bytes=262144")[2] for _ in range(4))
+    finally:
+        svc.stop()
+    assert len(served) == 4 * 262144
+    assert svc.discarded_buffers == 1
+    assert calls == [len(u) for u in made]
+    kept = b"".join(made[:2] + made[3:])
+    assert len(kept) >= len(served) and kept.startswith(served)
+
+
+def test_uniform_is_served_when_a_default_batch_is_below_one_gate_evaluation():
+    # a 512-block batch at block_m = 512 is 524,288 bits, short of the
+    # gate's 10^6; the service makes batches big enough to gate whole
+    svc = RandomService(service_config(block_m=512))
+    svc.start()
+    try:
+        for _ in range(3):
+            assert _get(svc.port, "/random?type=uniform&bytes=65536")[0] == 200
+        assert svc.discarded_buffers == 0 and not svc.producer_failed
+    finally:
+        svc.stop()
+
+
 def test_stopped_service_is_freed_without_the_cycle_collector():
     # a service restarted in one process must not hold the old pipeline's
     # arrays until a garbage collection that comes at no set time
@@ -246,7 +292,6 @@ def test_lo_power_drop_stops_uniform_service_but_not_shaped_output():
         health = json.loads(_get(svc.port, "/health")[2])
         assert health["certified"] is False
         assert health["status"] == "degraded"
-        assert not svc._pending_uniform
         left = health["buffer_fill"]["uniform"]  # released before the stop: still served
         if left:
             assert _get(svc.port, f"/random?type=uniform&bytes={left}")[0] == 200
