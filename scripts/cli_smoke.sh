@@ -17,6 +17,18 @@ expect_exit() {
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 cli init-config --out "$dir/smoke.ini"
+# the source's spectral factor is a deterministic function of the config:
+# fresh processes simulate the same voltages, also through a 16-tap filter
+cli -c "$dir/smoke.ini" simulate -n 65536 --format raw --out "$dir/v" > /dev/null
+cli -c "$dir/smoke.ini" simulate -n 65536 --format raw --out "$dir/v2" > /dev/null
+cmp "$dir/v.i.f32" "$dir/v2.i.f32"
+cmp "$dir/v.q.f32" "$dir/v2.q.f32"
+sed 's/^filter_taps = .*/filter_taps = 0.800000031835, 0.480000019101, 0.28800001146, 0.172800006876, 0.103680004126, 0.0622080024755, 0.0373248014853, 0.0223948808912, 0.0134369285347, 0.00806215712082, 0.00483729427249, 0.0029023765635, 0.0017414259381, 0.00104485556286, 0.000626913337715, 0.000376148002629/' \
+  "$dir/smoke.ini" > "$dir/taps16.ini"
+grep -q '^filter_taps = 0.800000031835, .*, 0.000376148002629$' "$dir/taps16.ini"
+cli -c "$dir/taps16.ini" extract --type uniform --out "$dir/t16.bin"
+cli -c "$dir/taps16.ini" extract --type uniform --out "$dir/t16b.bin"
+cmp "$dir/t16.bin" "$dir/t16b.bin"
 cli -c "$dir/smoke.ini" extract --type uniform --out "$dir/bits.bin"
 cli test --bits "$dir/bits.bin" > /dev/null
 # output is a function of the config alone: a fresh process gives the same bytes

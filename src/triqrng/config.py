@@ -91,9 +91,12 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         try:  # the source and digitizer rules run here too, so a bad file fails at load
             self.noise_model()
+        except ValueError as err:
+            raise ConfigError(f"[source] {err}") from err
+        try:
             self.adc_spec()
         except ValueError as err:
-            raise ConfigError(str(err)) from err
+            raise ConfigError(f"[adc] {err}") from err
         if self.block_m > self.block_n:
             raise ConfigError("block_m must be <= block_n")
         if self.block_n % self.adc_bits:

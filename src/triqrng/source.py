@@ -2,19 +2,92 @@
 
 Generates paired I/Q voltage records with a configurable quantum (shot
 noise) component, classical excess noise, and a detector-bandwidth FIR
-correlation filter. Gaussian deviates come from numpy's PCG64 generator
-(ziggurat method); the two channels use independently spawned streams.
+correlation filter. Quantum noise through the FIR filter plus white
+excess noise is a moving-average process of order q = len(taps) - 1, so
+each channel is simulated as one white innovation per sample through the
+minimum-phase spectral factor of that process's autocovariance (Wilson,
+SIAM J. Numer. Anal. 6, 1969): same lags, hence the same Gaussian law, at
+one normal draw per sample. Gaussian deviates come from numpy's PCG64
+generator (ziggurat method); the two channels use independently spawned
+streams.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 TAP_NORM_TOL = 1e-6
 LINEARITY_TOL = 1e-9
+FACTOR_TOL = 1e-12  # largest lag error of a spectral factor, relative to gamma_0
+FACTOR_ITERATIONS = 100  # Newton steps; random taps of up to 64 need at most 14
+
+
+def model_lags(taps, sigma_q2: float, excess_var: float) -> np.ndarray:
+    """Autocovariance gamma_0..gamma_q of white noise of variance sigma_q2
+    through `taps`, plus white excess noise of variance excess_var."""
+    h = np.asarray(taps, dtype=float)
+    gamma = sigma_q2 * np.correlate(h, h, "full")[h.size - 1:]
+    gamma[0] += excess_var
+    return gamma
+
+
+def _wilson_factor(gamma: np.ndarray) -> np.ndarray:
+    """Wilson's Newton iteration for b with sum_k b_k b_(k+j) = gamma_j.
+
+    The Jacobian of the lags is J[j, m] = b_(m+j) + b_(m-j); since the lags
+    are quadratic, J b = 2 * lags(b), so a Newton step solves
+    J b' = gamma + lags(b). Started from (1, 0, ..., 0) on a spectrum that
+    is positive on the unit circle, every iterate is minimum phase and the
+    steps converge quadratically.
+    """
+    g = gamma / gamma[0]
+    q = g.size - 1
+    b = np.zeros(q + 1)
+    b[0] = 1.0
+    k = np.arange(q + 1)
+    plus = k[None, :] + k[:, None]
+    minus = k[None, :] - k[:, None]
+    for _ in range(FACTOR_ITERATIONS):
+        lags = np.correlate(b, b, "full")[q:]
+        if np.max(np.abs(lags - g)) <= FACTOR_TOL / 100:
+            break
+        padded = np.concatenate([b, np.zeros(q + 1)])
+        jac = padded[plus] + np.where(minus >= 0, b[np.clip(minus, 0, q)], 0.0)
+        b = np.linalg.solve(jac, g + lags)
+    return b * np.sqrt(gamma[0])
+
+
+@lru_cache(maxsize=32)
+def spectral_factor(taps: tuple[float, ...], sigma_q2: float, excess_var: float) -> np.ndarray:
+    """The filter b that turns unit white noise into one channel's process.
+
+    Its lags equal `model_lags(taps, sigma_q2, excess_var)`. With no excess
+    noise b is sqrt(sigma_q2) * taps; with no quantum noise (LO off) it is
+    the single tap sqrt(excess_var); otherwise it is the minimum-phase
+    factor (zeros inside the unit circle). A factor whose lags miss by more
+    than FACTOR_TOL * gamma_0 raises ValueError. The array is read-only.
+    """
+    gamma = model_lags(taps, sigma_q2, excess_var)
+    if sigma_q2 == 0:
+        b = np.array([np.sqrt(excess_var)])
+    elif excess_var == 0:
+        b = np.sqrt(sigma_q2) * np.asarray(taps, dtype=float)
+    else:
+        b = _wilson_factor(gamma)
+    lags = np.zeros(gamma.size)
+    lags[:b.size] = np.correlate(b, b, "full")[b.size - 1:]
+    error = np.max(np.abs(lags - gamma))
+    if not error <= FACTOR_TOL * gamma[0]:
+        raise ValueError(
+            f"filter_taps: no spectral factor reproduces the source lags "
+            f"(error {error:.3g} against gamma_0 {gamma[0]:.3g})"
+        )
+    b.flags.writeable = False
+    return b
 
 
 @dataclass(frozen=True)
@@ -60,6 +133,14 @@ class NoiseModel:
                     "sigma_q2 must equal responsivity * lo_power_mw in the linear regime "
                     f"({self.sigma_q2} != {expected})"
                 )
+        self.factors()  # refuse taps whose factor cannot be verified
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The I and Q spectral factors; Q has its own when sigma_e2_q is set."""
+        taps = tuple(float(t) for t in self.filter_taps)
+        e_q = self.sigma_e2 if self.sigma_e2_q is None else self.sigma_e2_q
+        return (spectral_factor(taps, self.sigma_q2, self.sigma_e2),
+                spectral_factor(taps, self.sigma_q2, e_q))
 
     @classmethod
     def at_lo_power(
@@ -109,15 +190,16 @@ def normalized_taps(taps) -> tuple[float, ...]:
     return tuple(float(v) for v in t / norm)
 
 
-def _channel(rng: np.random.Generator, model: NoiseModel, count: int, excess_var: float) -> np.ndarray:
-    taps = np.asarray(model.filter_taps, dtype=float)
-    # draw count + len(taps) - 1 quantum samples so 'valid' convolution is
-    # steady state over the whole record (no edge transient)
-    quantum = rng.standard_normal(count + taps.size - 1) * np.sqrt(model.sigma_q2)
-    filtered = np.convolve(quantum, taps, mode="valid") if taps.size > 1 else quantum
-    out = filtered + rng.standard_normal(count) * np.sqrt(excess_var)
-    if model.sat_clip_v is not None:
-        c = float(model.sat_clip_v)
+def _channel(rng: np.random.Generator, factor: np.ndarray, count: int, sat_clip_v: float | None) -> np.ndarray:
+    # draw count + q innovations so 'valid' convolution is steady state
+    # over the whole record (no edge transient)
+    out = rng.standard_normal(count + factor.size - 1)
+    if factor.size > 1:
+        out = np.convolve(out, factor, mode="valid")
+    else:
+        out *= factor[0]
+    if sat_clip_v is not None:
+        c = float(sat_clip_v)
         out = c * np.tanh(out / c)
     return out
 
@@ -125,19 +207,18 @@ def _channel(rng: np.random.Generator, model: NoiseModel, count: int, excess_var
 def simulate_quadratures(model: NoiseModel, count: int, prng_seed: int) -> QuadratureFrame:
     """Generate `count` paired I/Q samples, deterministic for a fixed seed.
 
-    Each channel is white Gaussian quantum noise of variance sigma_q2
-    convolved with the bandwidth taps, plus independent white Gaussian
-    excess noise; the channels are statistically independent.
+    Each channel has the law of white Gaussian quantum noise of variance
+    sigma_q2 convolved with the bandwidth taps, plus independent white
+    Gaussian excess noise; it is drawn as count + q unit normals through
+    the channel's spectral factor. The channels are independent.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     ss_i, ss_q = np.random.SeedSequence(prng_seed).spawn(2)
-    rng_i = np.random.Generator(np.random.PCG64(ss_i))
-    rng_q = np.random.Generator(np.random.PCG64(ss_q))
-    e_q = model.sigma_e2 if model.sigma_e2_q is None else model.sigma_e2_q
+    factor_i, factor_q = model.factors()
     return QuadratureFrame(
-        i_samples=_channel(rng_i, model, count, model.sigma_e2),
-        q_samples=_channel(rng_q, model, count, e_q),
+        i_samples=_channel(np.random.Generator(np.random.PCG64(ss_i)), factor_i, count, model.sat_clip_v),
+        q_samples=_channel(np.random.Generator(np.random.PCG64(ss_q)), factor_q, count, model.sat_clip_v),
     )
 
 

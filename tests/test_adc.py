@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import triqrng.adc
 from triqrng.adc import AdcSpec, CodeBlock, _edges, dequantize, dnl_profile, quantize, quantize_channel
 from triqrng.source import QuadratureFrame
 from triqrng.stats import chi2_sf
@@ -84,6 +85,25 @@ def test_quantize_matches_searchsorted_oracle(bits, range_v, dnl_max):
     assert np.array_equal(blk.codes, expected)
     assert blk.codes.dtype == np.int32
     assert blk.clamped == int(np.count_nonzero(v < -half) + np.count_nonzero(v >= half))
+
+
+def test_quantize_chunk_size_changes_nothing(monkeypatch):
+    # a DNL record that clamps at both ends, 3 * 8192 + 7 samples so every
+    # chunk size but 1 ends on a partial chunk
+    spec = AdcSpec(bits=10, range_v=2.0, dnl_max=0.3, dnl_seed=5)
+    v = np.random.default_rng(5).uniform(-1.2, 1.2, 3 * 8192 + 7)
+    results = []
+    for chunk in (1, 7, 8192, 1 << 16):
+        monkeypatch.setattr(triqrng.adc, "QUANTIZE_CHUNK", chunk)
+        blk = quantize_channel(v, spec)
+        results.append((blk.codes, blk.clamped))
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_channel(np.append(v, np.nan), spec)  # NaN in the last chunk
+    codes, clamped = results[0]
+    assert clamped == int(np.count_nonzero(v < -1.0) + np.count_nonzero(v >= 1.0))
+    assert codes.min() == spec.code_min and codes.max() == spec.code_max
+    for other_codes, other_clamped in results[1:]:
+        assert np.array_equal(other_codes, codes) and other_clamped == clamped
 
 
 def test_quantize_rejects_nan():

@@ -135,11 +135,11 @@ def test_stream_identity_pinned():
     assert len(run.reports) == 3
     assert (len(run.uniform), run.gaussian_i.size, run.rayleigh.size) == (40960, 12288, 15360)
     assert hashlib.sha256(run.uniform).hexdigest() == (
-        "a9b46180c8c0b6982f65b85ec2794eac907ab6add17e1e0d8f138c365760c0e1")
+        "e24cd92a1e511714773a37a9ed1bdf62e15c1a67ed6eaf933bac7fe4594bfd03")
     assert hashlib.sha256(gauss).hexdigest() == (
-        "64f931e1a60fa5d924eea2c8f0ddc258c77275c05444a6a58af47b5d62677016")
+        "2a030f73bcec95024601c19121cc6bd7154fbbcac3a7ac4181b1fae5ba92b56e")
     assert hashlib.sha256(run.rayleigh.astype("<f4").tobytes()).hexdigest() == (
-        "b7d5f13bd7ef7dc8904091836c1316df1f112253be988baeb07c8ffc5c162115")
+        "c61d6038b3d6665e4c909ac687f248abc4237dbf0aa5255c3b79569fc18ce3d6")
 
 
 def test_wire_identity_pinned():
@@ -148,9 +148,9 @@ def test_wire_identity_pinned():
     cfg = fast_config(certify_samples=1 << 16, recertify_every=64, pool_size=4096)
     run = run_pipeline(cfg, duration_blocks=160, batch_blocks=32)
     assert hashlib.sha256(encode_gaussian(run.gaussian_i, run.gaussian_q, run.n_out)).hexdigest() == (
-        "9d0dee6b955662546acb0bbb8e0edc78d467155fd3a0d9809dc922147295162d")
+        "27b43a0c3f0f2082408793f30800428952582a52d5f5e83c9658b45d90898ddd")
     assert hashlib.sha256(encode_rayleigh(run.rayleigh)).hexdigest() == (
-        "b7d5f13bd7ef7dc8904091836c1316df1f112253be988baeb07c8ffc5c162115")
+        "c61d6038b3d6665e4c909ac687f248abc4237dbf0aa5255c3b79569fc18ce3d6")
 
 
 def test_certify_identity_pinned():
@@ -158,7 +158,7 @@ def test_certify_identity_pinned():
     reports = certify(PipelineConfig())
     text = json.dumps({ch: asdict(r) for ch, r in reports.items()}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e74e7e5cd4fd7a09f62866c6a51e2ad5be867bc53b0eef939fda022657b9defc")
+        "4adf0fe5739124a781654e61cf70fe37de5bc7bc7654d7d1aa90b10006220a7b")
 
 
 def test_seed_identity_pinned():
@@ -167,7 +167,7 @@ def test_seed_identity_pinned():
     seed = Pipeline(PipelineConfig()).seed
     assert seed.bits.len == 1535
     assert hashlib.sha256(seed.bits.tobytes()).hexdigest() == (
-        "c0f0895d8f98cafa471c9f0c85fff73bffef34a3cb63ebb7dce07901ee1781c7")
+        "1f627e40c56a60ac89a2bec88ca0229cf1faa2dffd7245268cb62f11d51fca7b")
 
 
 def test_startup_gate_rejects_overcommitted_geometry():
