@@ -30,7 +30,18 @@ cli -c "$dir/taps16.ini" extract --type uniform --out "$dir/t16.bin"
 cli -c "$dir/taps16.ini" extract --type uniform --out "$dir/t16b.bin"
 cmp "$dir/t16.bin" "$dir/t16b.bin"
 cli -c "$dir/smoke.ini" extract --type uniform --out "$dir/bits.bin"
-cli test --bits "$dir/bits.bin" > /dev/null
+# the exit code is the verdict: 0 when every test passes at alpha, 1 when one
+# fails, which a correct stream does by chance (about 4% of streams); so the
+# smoke checks the contract, and rates are for the multi-seed tests in tests/
+rc=0
+cli test --bits "$dir/bits.bin" > "$dir/bits.json" || rc=$?
+python - "$dir/bits.json" "$rc" <<'PY'
+import json, sys
+reports, rc = json.load(open(sys.argv[1])), int(sys.argv[2])
+assert [r["test_name"] for r in reports] == ["monobit", "block-frequency", "runs", "longest-run"], reports
+assert all(0.0 <= r["p_value"] <= 1.0 and r["passed"] == (r["p_value"] >= r["alpha"]) for r in reports), reports
+assert rc == (0 if all(r["passed"] for r in reports) else 1), (rc, reports)
+PY
 # output is a function of the config alone: a fresh process gives the same bytes
 cli -c "$dir/smoke.ini" extract --type uniform --out "$dir/bits2.bin"
 cmp "$dir/bits.bin" "$dir/bits2.bin"

@@ -96,7 +96,7 @@ class PipelineConfig:
         try:
             self.adc_spec()
         except ValueError as err:
-            raise ConfigError(f"[adc] {err}") from err
+            raise ConfigError(str(err)) from err
         if self.block_m > self.block_n:
             raise ConfigError("block_m must be <= block_n")
         if self.block_n % self.adc_bits:

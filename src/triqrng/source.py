@@ -35,30 +35,32 @@ def model_lags(taps, sigma_q2: float, excess_var: float) -> np.ndarray:
     return gamma
 
 
-def _wilson_factor(gamma: np.ndarray) -> np.ndarray:
-    """Wilson's Newton iteration for b with sum_k b_k b_(k+j) = gamma_j.
+def _wilson_factor(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Wilson's Newton iteration for b with sum_k b_k b_(k+j) = g_j, g_0 = 1.
 
     The Jacobian of the lags is J[j, m] = b_(m+j) + b_(m-j); since the lags
     are quadratic, J b = 2 * lags(b), so a Newton step solves
-    J b' = gamma + lags(b). Started from (1, 0, ..., 0) on a spectrum that
+    J b' = g + lags(b). Started from (1, 0, ..., 0) on a spectrum that
     is positive on the unit circle, every iterate is minimum phase and the
-    steps converge quadratically.
+    steps converge quadratically. Stops early once the lags are well inside
+    FACTOR_TOL; returns b and the largest lag error of the b returned, which
+    `spectral_factor` alone judges.
     """
-    g = gamma / gamma[0]
     q = g.size - 1
     b = np.zeros(q + 1)
     b[0] = 1.0
     k = np.arange(q + 1)
     plus = k[None, :] + k[:, None]
     minus = k[None, :] - k[:, None]
+    lags = np.correlate(b, b, "full")[q:]
     for _ in range(FACTOR_ITERATIONS):
-        lags = np.correlate(b, b, "full")[q:]
         if np.max(np.abs(lags - g)) <= FACTOR_TOL / 100:
             break
         padded = np.concatenate([b, np.zeros(q + 1)])
         jac = padded[plus] + np.where(minus >= 0, b[np.clip(minus, 0, q)], 0.0)
         b = np.linalg.solve(jac, g + lags)
-    return b * np.sqrt(gamma[0])
+        lags = np.correlate(b, b, "full")[q:]
+    return b, float(np.max(np.abs(lags - g)))
 
 
 @lru_cache(maxsize=32)
@@ -67,25 +69,24 @@ def spectral_factor(taps: tuple[float, ...], sigma_q2: float, excess_var: float)
 
     Its lags equal `model_lags(taps, sigma_q2, excess_var)`. With no excess
     noise b is sqrt(sigma_q2) * taps; with no quantum noise (LO off) it is
-    the single tap sqrt(excess_var); otherwise it is the minimum-phase
-    factor (zeros inside the unit circle). A factor whose lags miss by more
-    than FACTOR_TOL * gamma_0 raises ValueError. The array is read-only.
+    the single tap sqrt(excess_var); both match by construction. Otherwise
+    it is the minimum-phase factor (zeros inside the unit circle) from
+    Wilson's iteration, accepted here, and only here, when its lags miss by
+    at most FACTOR_TOL * gamma_0; else ValueError. The array is read-only.
     """
-    gamma = model_lags(taps, sigma_q2, excess_var)
     if sigma_q2 == 0:
         b = np.array([np.sqrt(excess_var)])
     elif excess_var == 0:
         b = np.sqrt(sigma_q2) * np.asarray(taps, dtype=float)
     else:
-        b = _wilson_factor(gamma)
-    lags = np.zeros(gamma.size)
-    lags[:b.size] = np.correlate(b, b, "full")[b.size - 1:]
-    error = np.max(np.abs(lags - gamma))
-    if not error <= FACTOR_TOL * gamma[0]:
-        raise ValueError(
-            f"filter_taps: no spectral factor reproduces the source lags "
-            f"(error {error:.3g} against gamma_0 {gamma[0]:.3g})"
-        )
+        gamma = model_lags(taps, sigma_q2, excess_var)
+        b, error = _wilson_factor(gamma / gamma[0])
+        if not error <= FACTOR_TOL:
+            raise ValueError(
+                f"filter_taps: no spectral factor reproduces the source lags "
+                f"(error {error:.3g} of gamma_0)"
+            )
+        b = b * np.sqrt(gamma[0])
     b.flags.writeable = False
     return b
 

@@ -14,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 import triqrng.pipeline
 
 from triqrng.adc import quantize_channel
+from triqrng.bits import BitBlock
 from triqrng.config import PipelineConfig
 from triqrng.entropy import extractable_length
 from triqrng.gaussian import encode_gaussian
@@ -25,6 +27,7 @@ from triqrng.pipeline import BATCH_BLOCKS, Pipeline, StartupError, certify, rayl
 from triqrng.rayleigh import encode_rayleigh, savitzky_golay
 from triqrng.service import RandomService
 from triqrng.source import simulate_quadratures
+from triqrng.stats import bit_tests
 
 
 def fast_config(**kw) -> PipelineConfig:
@@ -70,6 +73,21 @@ def test_uniform_output_deterministic():
     a = run_pipeline(fast_config(), duration_blocks=4, want={"uniform"})
     b = run_pipeline(fast_config(), duration_blocks=4, want={"uniform"})
     assert a.uniform == b.uniform
+
+
+def test_first_outputs_fail_the_bit_tests_at_the_chance_rate_across_seeds():
+    # a correct stream fails one of the four SP 800-22 tests at alpha = 0.01
+    # with probability about 1 - 0.99^4 = 3.9%, so one stream's verdict is a
+    # chance outcome; across seeds, the first MiB (what `extract` writes by
+    # default) fails no more often than that rate allows
+    seeds = range(1, 41)
+    limit = int(stats.binom.isf(1e-3, len(seeds), 1 - 0.99 ** 4))  # P(more than limit) <= 1e-3
+    failed = []
+    for seed in seeds:
+        run = run_pipeline(fast_config(prng_seed=seed), duration_blocks=4096, want={"uniform"})
+        if not all(r.passed for r in bit_tests(BitBlock.from_bytes(run.uniform), alpha=0.01)):
+            failed.append(seed)
+    assert len(failed) <= limit, failed
 
 
 def test_type_switching_keeps_raw_consumption_fixed():
