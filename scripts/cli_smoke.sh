@@ -48,6 +48,10 @@ cmp "$dir/bits.bin" "$dir/bits2.bin"
 cli -c "$dir/smoke.ini" extract --type gaussian --out "$dir/g.i16"
 cli -c "$dir/smoke.ini" extract --type gaussian --out "$dir/g2.i16"
 cmp "$dir/g.i16" "$dir/g2.i16"
+# the pool passes are exact integer sums, so the BLAS thread count does not
+# change the Gaussian bytes
+OPENBLAS_NUM_THREADS=1 cli -c "$dir/smoke.ini" extract --type gaussian --out "$dir/g1.i16"
+cmp "$dir/g.i16" "$dir/g1.i16"
 cli -c "$dir/smoke.ini" extract --type gaussian --format csv --out "$dir/g.csv"
 cli -c "$dir/smoke.ini" extract --type gaussian --format csv --out "$dir/g2.csv"
 cmp "$dir/g.csv" "$dir/g2.csv"

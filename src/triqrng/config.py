@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .adc import AdcSpec
 from .entropy import DEFAULT_EPSILON, DEFAULT_PREDICTION_ORDER
-from .gaussian import K
+from .gaussian import MAX_PASSES, K
 from .source import NoiseModel, normalized_taps
 
 # Tuned reference operating point. sigma_q2 = responsivity * lo_power_mw
@@ -113,6 +113,9 @@ class PipelineConfig:
             raise ConfigError("sg_order must satisfy 0 <= sg_order < sg_window")
         if self.passes_i < 1 or self.passes_q < 1:
             raise ConfigError("passes_i and passes_q must be >= 1")
+        for name in ("passes_i", "passes_q"):
+            if getattr(self, name) > MAX_PASSES:
+                raise ConfigError(f"[extraction] {name} must be <= {MAX_PASSES}, where the pool sums stay exact")
         if self.recertify_every < 1:
             raise ConfigError("recertify_every must be >= 1")
         if not 0 < self.gate_alpha < 1:

@@ -1,13 +1,11 @@
 """Two-stage Gaussian extraction and its int16 wire format.
 
 Stage 1 keeps the top m bits of each code (entropy-based precision
-selection). Stage 2 is the recursive matrix method over the fixed 4 x 4
-Hadamard matrix: each pool is normalized to unit mean square, then
-repeatedly transformed in groups of K = 4, with a transpose-based
-regrouping between passes and a global sum-of-squares restoration per
-pass. Outputs are requantized to m + K - 1 bits on a symmetric grid over
-+-DEFAULT_GRID_SIGMA; m is capped so that width fits the 16-bit wire
-format.
+selection). Stage 2, the recursive matrix method, passes each pool through
+the fixed +-1 4 x 4 Hadamard in groups of K = 4, regrouped by transpose:
+exact integer sums while max|code| * 4^passes <= 2^53, whatever the BLAS
+kernel or thread count. One scale and one rounding put them on an m + K - 1
+bit grid over +-DEFAULT_GRID_SIGMA; m is capped to fit the 16-bit wire format.
 
 Pools are filled in bit-reversed index order. Detector-bandwidth
 correlation only spans a few samples; bit reversal guarantees that samples
@@ -26,11 +24,13 @@ import numpy as np
 from .adc import CodeBlock
 from .entropy import EntropyReport
 
-# The mixing matrix. Its entries are +-1/2, so HADAMARD.T @ HADAMARD is
-# exactly the identity.
-HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+# The mixing matrix. Its entries are +-1, so HADAMARD.T @ HADAMARD is
+# exactly 4 I, and a pass keeps integer values integer.
+HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=np.float64)
 HADAMARD.flags.writeable = False
 K = HADAMARD.shape[0]  # group size of one transform
+EXACT_LIMIT = 1 << 53  # float64 holds every integer up to here exactly
+MAX_PASSES = 20  # 2^12 * 4^20 <= 2^53: exact sums of 13-bit stage-1 codes
 DEFAULT_GRID_SIGMA = 5.0
 WIRE_BITS = 16  # Gaussian codes travel left-justified in int16
 
@@ -84,30 +84,31 @@ def mix_pools(truncated: np.ndarray, pool_size: int, passes: int, n_out: int) ->
     """Requantized n_out-bit codes of every whole pool of truncated codes.
 
     Each pool of `pool_size` consecutive codes is gathered in bit-reversed
-    order and scaled to unit mean square. A pass views it as an l x K array
-    V and takes `HADAMARD @ V^T`: row j holds output j of every group, so
-    the C-order product is already the regrouped pool. The pass then
-    restores the pool energy exactly, which orthogonality preserves only
-    up to float drift. A trailing partial pool is ignored; carrying it over
-    is the caller's job.
+    order. A pass views it as an l x K array V and takes `HADAMARD @ V^T`:
+    row j holds output j of every group, so the C-order product is already
+    the regrouped pool. The integer-valued sums are exact; one scale by
+    1 / (2^passes * rms), rms from the pool's exact int64 sum of squares,
+    and one rounding give the codes. A trailing partial pool is ignored;
+    carrying it over is the caller's job.
     """
     if passes < 1:
         raise ValueError("pass count must be >= 1")
     if pool_size < K:
         raise ValueError(f"pool size must be a power of two >= {K}")
     perm = bit_reversal_permutation(pool_size)
+    whole = truncated[: truncated.size - truncated.size % pool_size].astype(np.int64, copy=False)
+    peak = int(np.abs(whole).max()) if whole.size else 0
+    if peak * K**passes > EXACT_LIMIT or peak * peak * pool_size >= 1 << 63:
+        raise ValueError(f"codes up to {peak} over {passes} passes exceed the exact-integer range")
     outs = []
-    for p in range(truncated.size // pool_size):
-        v = truncated[p * pool_size : (p + 1) * pool_size].astype(np.float64)[perm]
-        ms = float(np.mean(v**2))
-        if ms == 0.0:
+    for pool in whole.reshape(-1, pool_size):
+        energy = int(pool @ pool)
+        if energy == 0:
             raise ValueError("cannot normalize an all-zero pool")
-        v = v / np.sqrt(ms)
+        v = pool[perm].astype(np.float64)
         for _ in range(passes):
-            ss0 = float(np.sum(v**2))
             v = (HADAMARD @ v.reshape(-1, K).T).reshape(-1)
-            v *= np.sqrt(ss0 / float(np.sum(v**2)))
-        outs.append(requantize(v, n_out))
+        outs.append(requantize(v * (1.0 / (2**passes * np.sqrt(energy / pool_size))), n_out))
     return np.concatenate(outs) if outs else np.zeros(0, dtype=np.int64)
 
 

@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from triqrng.config import PipelineConfig, default_config, load_config, write_config
+from triqrng.config import ConfigError, PipelineConfig, default_config, load_config, write_config
 from triqrng.source import normalized_taps
 
 
@@ -66,6 +66,15 @@ def test_values_that_fail_later_are_rejected_at_load(field, value):
     # discards every chunk (alpha >= 1) or none (alpha 0)
     with pytest.raises(ValueError, match=field):
         PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["passes_i", "passes_q"])
+def test_passes_beyond_exact_pool_sums_are_rejected(field):
+    # 2^12 * 4^20 <= 2^53: 20 passes keep the sums of 13-bit stage-1 codes
+    # exact in float64, 21 do not
+    assert getattr(PipelineConfig(**{field: 20}), field) == 20
+    with pytest.raises(ConfigError, match=rf"\[extraction\] {field}"):
+        PipelineConfig(**{field: 21})
 
 
 def test_pipeline_and_service_limits_are_inclusive():

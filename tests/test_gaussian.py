@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triqrng.adc import AdcSpec, CodeBlock
 from triqrng.entropy import EntropyReport
@@ -84,19 +85,36 @@ def _transpose_pass(values: np.ndarray, m: np.ndarray) -> np.ndarray:
     return mixed * np.sqrt(float(np.sum(values**2)) / float(np.sum(mixed**2)))
 
 
-def _oracle_pools(truncated: np.ndarray, pool_size: int, passes: int) -> list[np.ndarray]:
-    # reference: gather each whole pool by per-index bit reversal, scale it
-    # to unit mean square, then apply `passes` transpose passes
+def _bit_reversed(pool_size: int) -> list[int]:
+    # reference: bit reversal index by index, through the binary string
     bits = pool_size.bit_length() - 1
-    perm = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(pool_size)]
+    return [int(format(i, f"0{bits}b")[::-1], 2) for i in range(pool_size)]
+
+
+def _oracle_pools(truncated: np.ndarray, pool_size: int, passes: int) -> list[np.ndarray]:
+    # reference in floats: gather each whole pool by per-index bit reversal,
+    # scale it to unit mean square, then apply `passes` transpose passes of
+    # the orthonormal HADAMARD / 2, restoring the energy after each
+    perm = _bit_reversed(pool_size)
     pools = []
     for p in range(truncated.size // pool_size):
         v = truncated[p * pool_size:(p + 1) * pool_size].astype(np.float64)[perm]
         v = v / np.sqrt(np.mean(v**2))
         for _ in range(passes):
-            v = _transpose_pass(v, HADAMARD)
+            v = _transpose_pass(v, HADAMARD / 2)
         pools.append(v)
     return pools
+
+
+def _butterfly_sums(pool: np.ndarray, passes: int) -> np.ndarray:
+    # reference in integers: each pass of the +-1 Hadamard as int64
+    # butterflies, no BLAS; output j of every group is row j of the next pool
+    v = pool.astype(np.int64)
+    for _ in range(passes):
+        a, b, c, d = v.reshape(-1, 4).T
+        s0, d0, s1, d1 = a + b, a - b, c + d, c - d
+        v = np.concatenate([s0 + s1, d0 + d1, s0 - s1, d0 - d1])
+    return v
 
 
 def _codes(seed: int, count: int, scale: float = 512.0) -> np.ndarray:
@@ -104,15 +122,16 @@ def _codes(seed: int, count: int, scale: float = 512.0) -> np.ndarray:
 
 
 def test_normalize_constant_pool():
-    # a constant pool scales to ones; one pass maps each group of ones to
-    # (2, 0, 0, 0) and lists output j of every group in row j
+    # a constant pool of 2s has rms 2; one pass maps each group to
+    # (8, 0, 0, 0), lists output j of every group in row j, and the scale
+    # 1 / (2 * 2) makes the 8s into 2s
     out = mix_pools(np.full(8, 2, dtype=np.int64), 8, 1, 14)
     assert np.array_equal(out, requantize(np.array([2.0, 2.0, 0, 0, 0, 0, 0, 0]), 14))
 
 
 def test_normalize_unit_pool_unchanged():
-    # (1, -1, 1, -1) already has unit mean square; gathered in bit-reversed
-    # order it is (1, 1, -1, -1), which the Hadamard maps to (0, 0, 2, 0)
+    # (1, -1, 1, -1) has unit mean square; gathered in bit-reversed order it
+    # is (1, 1, -1, -1), which the Hadamard maps to (0, 0, 4, 0), scaled by 1/2
     out = mix_pools(np.array([1, -1, 1, -1]), 4, 1, 14)
     assert np.array_equal(out, requantize(np.array([0.0, 0.0, 2.0, 0.0]), 14))
 
@@ -129,22 +148,57 @@ def test_normalize_rejects_zero_pool():
 
 
 def test_matrix_orthogonality_enforced():
-    assert np.array_equal(HADAMARD.T @ HADAMARD, np.eye(4))
+    assert np.array_equal(HADAMARD.T @ HADAMARD, 4 * np.eye(4))
+    assert np.array_equal(HADAMARD, np.round(HADAMARD))
     assert not HADAMARD.flags.writeable
 
 
 def test_wallace_pass_conserves_energy():
+    # the passes are exact integer sums: the int64 butterflies keep the pool
+    # energy exactly (times 4 per pass), and on a 60-bit grid, finer than one
+    # ulp of the scaled values, mix_pools gives the codes of those sums
     truncated = _codes(2, 1 << 12)
-    values = truncated.astype(np.float64)
-    # the raw transform's drift stays tiny (orthogonality)...
-    raw = values.reshape(-1, 4) @ HADAMARD.T
-    assert abs(np.sum(raw**2) / np.sum(values**2) - 1.0) < 1e-9
-    # ...and every pass restores the pool energy exactly, as the oracle does;
-    # a 60-bit grid step is below one ulp of these values, so the codes keep
-    # every bit of the mixed pool
-    pool = _oracle_pools(truncated, 1 << 12, 3)[0]
-    assert abs(np.mean(pool**2) - 1.0) <= 1e-12
-    assert np.array_equal(mix_pools(truncated, 1 << 12, 3, 60), requantize(pool, 60))
+    pool = truncated[_bit_reversed(1 << 12)]
+    energy = int(pool @ pool)
+    for passes in (1, 3, 6):
+        sums = _butterfly_sums(pool, passes)
+        assert int(sums @ sums) == 4**passes * energy
+        scale = 1.0 / (2**passes * np.sqrt(energy / pool.size))
+        assert np.array_equal(mix_pools(truncated, 1 << 12, passes, 60), requantize(sums * scale, 60))
+
+
+def test_mix_pools_refuses_sums_beyond_exact_floats():
+    # every partial sum is at most max|code| * 4^passes, which may reach 2^53
+    edge = np.array([1 << 29, 0, 0, 0])
+    assert mix_pools(edge, 4, 12, 14).size == 4
+    with pytest.raises(ValueError, match="exact-integer range"):
+        mix_pools(edge + 1, 4, 12, 14)
+    # the pool energy is an int64 sum of squares
+    with pytest.raises(ValueError, match="exact-integer range"):
+        mix_pools(np.array([1 << 31, 0, 0, 0]), 4, 1, 14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mix_pools_matches_the_float_oracle(data):
+    pool_size = 1 << data.draw(st.integers(2, 12), label="log2 pool_size")
+    passes = data.draw(st.integers(1, 8), label="passes")
+    m_bits = data.draw(st.integers(1, 13), label="m_bits")
+    lo, hi = -(1 << (m_bits - 1)), (1 << (m_bits - 1)) - 1
+    kind = data.draw(st.sampled_from(["drawn", "full-scale", "single-nonzero"]), label="kind")
+    if kind == "full-scale":
+        truncated = np.full(pool_size, lo, dtype=np.int64)
+    elif kind == "single-nonzero":
+        truncated = np.zeros(pool_size, dtype=np.int64)
+        truncated[data.draw(st.integers(0, pool_size - 1))] = data.draw(st.integers(lo, hi).filter(bool))
+    else:
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        truncated = np.random.default_rng(seed).integers(lo, hi + 1, pool_size)
+        if not truncated.any():
+            truncated[0] = lo
+    n_out = output_precision(m_bits)
+    expected = requantize(_oracle_pools(truncated, pool_size, passes)[0], n_out)
+    assert np.array_equal(mix_pools(truncated, pool_size, passes, n_out), expected)
 
 
 @pytest.mark.parametrize("pool_size", [4, 8, 64, 2048, 65536])
@@ -184,7 +238,7 @@ def test_gaussianity_survives_passes():
 
 def test_avalanche_mixing():
     # negating the largest code preserves the pool energy, so every output
-    # change is due to mixing, not the energy correction
+    # change is due to mixing, not the scale
     base = _codes(6, 4096)
     flipped = base.copy()
     j = int(np.argmax(np.abs(flipped)))
