@@ -63,7 +63,6 @@ expect_exit 2 -c "$dir/smoke.ini" extract --type uniform --format csv --out "$di
 test ! -e "$dir/u.csv"
 expect_exit 2 -c "$dir/smoke.ini" extract --type gaussian --histogram-mode --out "$dir/h.csv"
 test ! -e "$dir/h.csv"
-expect_exit 2 -c "$dir/smoke.ini" extract --type uniform --window 21 --out "$dir/w.bin"
 # a significance level outside (0, 1) is refused while the arguments are parsed
 expect_exit 2 test --bits "$dir/bits.bin" --alpha 0
 # a missing input, or samples that are not whole float32s, is a usage error, not a failed test
@@ -78,13 +77,17 @@ expect_exit 2 -c "$dir/misspelt.ini" extract --type uniform --out "$dir/misspelt
 cli -c "$dir/smoke.ini" certify --json-out "$dir/cert.json" > /dev/null
 cli -c "$dir/smoke.ini" certify --json-out "$dir/cert2.json" > /dev/null
 cmp "$dir/cert.json" "$dir/cert2.json"
-# certify code files against an LO-off background record
-sed -e 's/^lo_power_mw = .*/lo_power_mw = 0.0/' -e 's/^prng_seed = .*/prng_seed = 4242/' \
+# code files certify through the same path as the records certify simulates:
+# the startup record at prng_seed and the LO-off background at prng_seed + 10000
+samples=$(sed -n 's/^certify_samples = //p' "$dir/smoke.ini")
+seed=$(sed -n 's/^prng_seed = //p' "$dir/smoke.ini")
+sed -e 's/^lo_power_mw = .*/lo_power_mw = 0.0/' -e "s/^prng_seed = .*/prng_seed = $((seed + 10000))/" \
   "$dir/smoke.ini" > "$dir/lo_off.ini"
-cli -c "$dir/smoke.ini" simulate -n 262144 --format codes --out "$dir/sig" > /dev/null
-cli -c "$dir/lo_off.ini" simulate -n 262144 --format codes --out "$dir/bg" > /dev/null
+cli -c "$dir/smoke.ini" simulate -n "$samples" --format codes --out "$dir/sig" > /dev/null
+cli -c "$dir/lo_off.ini" simulate -n "$samples" --format codes --out "$dir/bg" > /dev/null
 cli -c "$dir/smoke.ini" certify --i "$dir/sig.i.i16" --q "$dir/sig.q.i16" \
-  --bg-i "$dir/bg.i.i16" --bg-q "$dir/bg.q.i16" > /dev/null
+  --bg-i "$dir/bg.i.i16" --bg-q "$dir/bg.q.i16" --json-out "$dir/cert_files.json" > /dev/null
+cmp "$dir/cert.json" "$dir/cert_files.json"
 # a key the config no longer has (the Welch segment length) is refused
 sed 's/^\[pipeline\]$/[pipeline]\npsd_segment = 4096/' "$dir/smoke.ini" > "$dir/old.ini"
 grep -q '^psd_segment = 4096$' "$dir/old.ini"

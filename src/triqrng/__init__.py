@@ -20,7 +20,7 @@ from .entropy import (
 )
 from .gaussian import HADAMARD, mix_pools, msb_truncate, output_precision
 from .pipeline import Pipeline, bench, certify, provision_seed, run_pipeline
-from .rayleigh import phase_uniform, rayleigh_raw, savitzky_golay, smooth_histogram
+from .rayleigh import phase_uniform, rayleigh_raw, savitzky_golay
 from .service import RandomService, serve
 from .source import (
     NoiseModel,

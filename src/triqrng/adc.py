@@ -65,9 +65,6 @@ class CodeBlock:
     def __len__(self) -> int:
         return self.codes.size
 
-    def clamped_fraction(self) -> float:
-        return self.clamped / self.codes.size if self.codes.size else 0.0
-
     def tofile(self, path: str) -> None:
         """Write as little-endian signed 16-bit raw; deeper codes do not fit."""
         if self.spec.bits > 16:

@@ -56,11 +56,6 @@ class BitBlock:
             return NotImplemented
         return self.len == other.len and np.array_equal(self.packed, other.packed)
 
-    def __xor__(self, other: "BitBlock") -> "BitBlock":
-        if self.len != other.len:
-            raise ValueError("length mismatch")
-        return BitBlock(self.packed ^ other.packed, self.len)
-
 
 def codes_to_bits(codes: np.ndarray, bits: int) -> BitBlock:
     """Serialize signed ADC codes to a bit block.

@@ -18,9 +18,9 @@ import numpy as np
 
 from .adc import CodeBlock, quantize
 from .config import ConfigError, PipelineConfig, default_config, load_config, write_config
-from .gaussian import encode_gaussian, grid_step
-from .pipeline import StartupError, bench, certify, channel_report, record_windows, run_pipeline
-from .rayleigh import encode_rayleigh
+from .gaussian import grid_step
+from .pipeline import StartupError, bench, certify, run_pipeline
+from .rayleigh import savitzky_golay
 from .service import serve
 from .source import simulate_quadratures, write_frame_csv, write_frame_raw
 from .stats import bit_tests, chi2_test, ks_test
@@ -81,14 +81,11 @@ def _cmd_certify(args) -> int:
         print("certify from files needs all of --i, --q, --bg-i, --bg-q", file=sys.stderr)
         return 2
     try:
+        record = background = None
         if any(file_args):
             i, q, bg_i, bg_q = [CodeBlock.fromfile(path, cfg.adc_spec()).codes for path in file_args]
-            bg_windows = record_windows(cfg, zip("iq", (bg_i, bg_q)))
-            background = {ch: w.autocovariance() for ch, w in bg_windows.items()}
-            windows = record_windows(cfg, zip("iq", (i, q)))
-            reports = {ch: channel_report(ch, w, background[ch], cfg) for ch, w in windows.items()}
-        else:
-            reports = certify(cfg)
+            record, background = (i, q), (bg_i, bg_q)
+        reports = certify(cfg, record, background)
     except (OSError, ValueError) as err:  # unreadable or bad code files, or records the bound rejects
         print(f"certify: {err}", file=sys.stderr)
         return 2
@@ -103,31 +100,23 @@ def _cmd_certify(args) -> int:
 
 def _cmd_extract(args) -> int:
     for flag, given, used in (("--format csv", args.format == "csv", args.type != "uniform"),
-                              ("--histogram-mode", args.histogram_mode, args.type == "rayleigh"),
-                              ("--window", args.window is not None, args.type == "rayleigh"),
-                              ("--order", args.order is not None, args.type == "rayleigh")):
+                              ("--histogram-mode", args.histogram_mode, args.type == "rayleigh")):
         if given and not used:
             print(f"extract: {flag} does nothing for --type {args.type}", file=sys.stderr)
             return 2
     cfg = _config_from(args)
-    smoothing = {"sg_window": args.window, "sg_order": args.order}
-    cfg = replace(cfg, **{key: value for key, value in smoothing.items() if value is not None})
     run = run_pipeline(cfg, args.blocks, want={args.type})
     if args.histogram_mode:
-        return _write_rayleigh_histogram(run.rayleigh, cfg, args)
-    if args.type == "uniform":
-        data = run.uniform
+        counts, edges = np.histogram(run.rayleigh, bins=256)
+        smoothed = savitzky_golay(counts.astype(np.float64), cfg.sg_window, cfg.sg_order)
+        data = _csv_bytes(0.5 * (edges[:-1] + edges[1:]), counts, smoothed, header="bin_center,count,smoothed")
+    elif args.format == "bin":
+        data = run.wire(args.type, run.n_out)
     elif args.type == "gaussian":
-        if args.format == "csv":
-            step = grid_step(run.n_out)
-            data = _csv_bytes(run.gaussian_i.astype(np.float64) * step, run.gaussian_q.astype(np.float64) * step)
-        else:
-            data = encode_gaussian(run.gaussian_i, run.gaussian_q, run.n_out)
+        step = grid_step(run.n_out)
+        data = _csv_bytes(run.gaussian_i * step, run.gaussian_q * step)
     else:
-        if args.format == "csv":
-            data = _csv_bytes(run.rayleigh)
-        else:
-            data = encode_rayleigh(run.rayleigh)
+        data = _csv_bytes(run.rayleigh)
     if args.stdout:
         sys.stdout.buffer.write(data)
     else:
@@ -137,30 +126,11 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _csv_bytes(*columns) -> bytes:
-    rows = zip(*columns)
-    lines = [",".join(repr(float(v)) for v in row) for row in rows]
+def _csv_bytes(*columns: np.ndarray, header: str | None = None) -> bytes:
+    """Rows of the columns' values as Python numbers write them, after an optional header line."""
+    lines = [header] if header else []
+    lines += [",".join(map(repr, row)) for row in zip(*(column.tolist() for column in columns))]
     return ("\n".join(lines) + "\n").encode()
-
-
-def _write_rayleigh_histogram(values, cfg: PipelineConfig, args) -> int:
-    from .rayleigh import smooth_histogram
-
-    bins = 256
-    counts, edges = np.histogram(values, bins=bins)
-    smoothed = smooth_histogram(counts.astype(np.float64), cfg.sg_window, cfg.sg_order)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    lines = ["bin_center,count,smoothed"]
-    lines += [f"{repr(float(c))},{int(o)},{repr(float(s))}"
-              for c, o, s in zip(centers, counts, smoothed)]
-    data = ("\n".join(lines) + "\n").encode()
-    if args.stdout:
-        sys.stdout.buffer.write(data)
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-        print(f"wrote histogram ({bins} bins) to {args.out}")
-    return 0
 
 
 def _cmd_test(args) -> int:
@@ -238,8 +208,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", default="out.bin")
     p.add_argument("--stdout", action="store_true")
     p.add_argument("--format", choices=["bin", "csv"], default="bin")
-    p.add_argument("--window", type=int, help="Savitzky-Golay window override")
-    p.add_argument("--order", type=int, help="Savitzky-Golay order override")
     p.add_argument("--histogram-mode", action="store_true",
                    help="rayleigh only: emit a smoothed histogram CSV instead of the stream")
     p.set_defaults(fn=_cmd_extract)

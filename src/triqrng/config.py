@@ -111,6 +111,9 @@ class PipelineConfig:
             raise ConfigError("sg_window must be a positive odd integer")
         if not 0 <= self.sg_order < self.sg_window:
             raise ConfigError("sg_order must satisfy 0 <= sg_order < sg_window")
+        if self.sg_window > self.block_n // self.adc_bits:  # the shortest Rayleigh batch is one block
+            raise ConfigError(f"[extraction] sg_window must be <= the {self.block_n // self.adc_bits} "
+                              "samples of one block")
         if self.passes_i < 1 or self.passes_q < 1:
             raise ConfigError("passes_i and passes_q must be >= 1")
         for name in ("passes_i", "passes_q"):

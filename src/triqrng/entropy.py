@@ -81,22 +81,10 @@ def solve_g_star(delta_x: float, r: float) -> float:
         return special.erf(delta_x / (2 * g)) - special.erfc(r / g)
 
     lo, hi = 1e-12 * r, 1e12 * r
-    flo, fhi = f(lo), f(hi)
-    for _ in range(200):
-        if flo > 0 > fhi:
-            break
-        if flo <= 0:
-            lo /= 64.0
-            flo = f(lo)
-        if fhi >= 0:
-            hi *= 64.0
-            fhi = f(hi)
-    else:
+    if not f(lo) > 0 > f(hi):  # only when delta_x / r is so small that erf's argument underflows
         raise ArithmeticError(
             f"no sign change bracketing g* for delta_x={delta_x}, r={r}; refusing to extrapolate"
         )
-
-    g = 0.5 * (lo + hi)
     for _ in range(400):
         g = 0.5 * (lo + hi)
         if f(g) > 0:
@@ -108,9 +96,6 @@ def solve_g_star(delta_x: float, r: float) -> float:
             return g
         if hi - lo <= np.spacing(lo):
             break
-    erf_term = special.erf(delta_x / (2 * g))
-    if abs(erf_term - special.erfc(r / g)) <= G_STAR_REL_TOL * erf_term:
-        return g
     raise ArithmeticError(f"g* bisection did not reach residual tolerance at g={g}")
 
 

@@ -31,8 +31,8 @@ from .entropy import (
     min_entropy_nonlinear,
     solve_g_star,
 )
-from .gaussian import mix_pools, msb_truncate, output_precision, precision_from_report
-from .rayleigh import rayleigh_raw, savitzky_golay
+from .gaussian import encode_gaussian, mix_pools, msb_truncate, output_precision, precision_from_report
+from .rayleigh import encode_rayleigh, rayleigh_raw, savitzky_golay
 from .source import NoiseModel, simulate_quadratures
 from .toeplitz import ToeplitzExtractor, ToeplitzSeed, next_admissible, seed_chain
 
@@ -41,6 +41,7 @@ log = logging.getLogger(__name__)
 BATCH_BLOCKS = 512  # per-channel blocks per batch of run_pipeline and bench; the service's batch is at least this
 OUTPUT_TYPES = ("uniform", "gaussian", "rayleigh")
 SEED_FRAME = 4096  # samples per simulated frame drawn for the Toeplitz seed
+CodeRecord = tuple[np.ndarray, np.ndarray]  # one digitized record: (I codes, Q codes)
 
 
 class StartupError(RuntimeError):
@@ -87,38 +88,50 @@ def channel_report(
     )
 
 
-def record_windows(config: PipelineConfig, record: Iterable[tuple[str, np.ndarray]]
-                   ) -> dict[str, LagWindow]:
-    """Per-channel trailing lag windows of `certify_samples`, opened on one
-    digitized record given as (channel, ADC codes) pairs."""
+def _lag_windows(config: PipelineConfig, model: NoiseModel, prng_seed: int,
+                 record: Iterable[np.ndarray] | None) -> dict[str, LagWindow]:
+    """Per-channel trailing lag windows of `certify_samples`, opened on the
+    I and Q codes of `record`, or of `certify_samples` samples simulated
+    from `model` at `prng_seed` when `record` is None.
+
+    A simulated channel is digitized only when its window is fed, by a
+    nested call that releases the codes before the frame: freeing the
+    frame first leaves glibc's heap about 4 MB larger for the life of the
+    process (the service's peak RSS showed it).
+    """
+    if record is None:
+        spec = config.adc_spec()
+        frame = simulate_quadratures(model, config.certify_samples, prng_seed)
+        return _lag_windows(config, model, prng_seed,
+                            (quantize_channel(volts, spec).codes for volts in (frame.i_samples, frame.q_samples)))
     windows = {}
-    for channel, codes in record:
+    for channel, codes in zip("iq", record):
         windows[channel] = LagWindow(config.prediction_order, config.certify_samples)
         windows[channel].feed(codes)
     return windows
 
 
-def _simulated_windows(config: PipelineConfig, model: NoiseModel, prng_seed: int
-                       ) -> dict[str, LagWindow]:
-    """`record_windows` of a simulated record of `certify_samples` samples."""
-    spec = config.adc_spec()
-    frame = simulate_quadratures(model, config.certify_samples, prng_seed)
-    return record_windows(config, ((channel, quantize_channel(volts, spec).codes)
-                                   for channel, volts in (("i", frame.i_samples), ("q", frame.q_samples))))
+def _startup_windows(config: PipelineConfig, record: CodeRecord | None = None,
+                     background: CodeRecord | None = None) -> tuple[dict[str, LagWindow], dict[str, np.ndarray]]:
+    """The startup record's lag windows and the LO-off background's lags, per channel.
 
-
-def background_lags(config: PipelineConfig) -> dict[str, np.ndarray]:
-    """Autocovariance lags per channel of a simulated, digitized LO-off background record."""
+    A record not given is simulated from the config: the startup record at
+    `prng_seed`, the background with the LO off at `prng_seed + 10_000`.
+    """
     bg_model = replace(config.noise_model(), sigma_q2=0.0, lo_power_mw=0.0, responsivity=None)
-    windows = _simulated_windows(config, bg_model, config.prng_seed + 10_000)
-    return {channel: window.autocovariance() for channel, window in windows.items()}
+    bg_windows = _lag_windows(config, bg_model, config.prng_seed + 10_000, background)
+    windows = _lag_windows(config, config.noise_model(), config.prng_seed, record)
+    return windows, {channel: window.autocovariance() for channel, window in bg_windows.items()}
 
 
-def certify(config: PipelineConfig) -> dict[str, EntropyReport]:
-    """Simulate the startup record and its LO-off background and certify both channels."""
-    background = background_lags(config)
-    windows = _simulated_windows(config, config.noise_model(), config.prng_seed)
-    return {ch: channel_report(ch, w, background[ch], config) for ch, w in windows.items()}
+def certify(config: PipelineConfig, record: CodeRecord | None = None,
+            background: CodeRecord | None = None) -> dict[str, EntropyReport]:
+    """Certify both channels of a startup record against its LO-off background.
+
+    A record not given is simulated as `Pipeline` simulates it at startup.
+    """
+    windows, background_lags = _startup_windows(config, record, background)
+    return {ch: channel_report(ch, w, background_lags[ch], config) for ch, w in windows.items()}
 
 
 def provision_seed(config: PipelineConfig) -> ToeplitzSeed:
@@ -146,10 +159,8 @@ def rayleigh_amplitudes(i_vals: np.ndarray, q_vals: np.ndarray, window: int, ord
     below zero next to a small amplitude; an amplitude is never negative,
     so the smoothed values are clamped at 0.
     """
-    raw = rayleigh_raw(i_vals, q_vals)
-    if raw.size >= window:
-        raw = np.maximum(savitzky_golay(raw, window, order), 0.0)
-    return raw.astype(np.float32)
+    smoothed = savitzky_golay(rayleigh_raw(i_vals, q_vals), window, order)
+    return np.maximum(smoothed, 0.0).astype(np.float32)
 
 
 def _chunk_codes(model: NoiseModel, spec: AdcSpec, prng_seed: int, count: int) -> tuple[CodeBlock, CodeBlock]:
@@ -171,6 +182,19 @@ class BlockBatch:
     gaussian_i: np.ndarray              # fixed-point codes (may be empty until a pool fills)
     gaussian_q: np.ndarray
     rayleigh: np.ndarray                # float32 denoised-raw amplitudes
+
+    def wire(self, output: str, n_out: int) -> bytes:
+        """One output type of this batch in its wire format, empty when it has none.
+
+        Uniform bytes are the packed bits, Gaussian codes of `n_out` bits
+        are I/Q-interleaved and left-justified in int16 LE, and Rayleigh
+        amplitudes are float32 LE.
+        """
+        if output == "uniform":
+            return self.uniform
+        if output == "gaussian":
+            return encode_gaussian(self.gaussian_i, self.gaussian_q, n_out)
+        return encode_rayleigh(self.rayleigh)
 
 
 class Pipeline:
@@ -216,8 +240,7 @@ class Pipeline:
         self._source = ThreadPoolExecutor(max_workers=1, thread_name_prefix="triqrng-source")
         self._ahead: tuple[tuple, Future] | None = None  # (inputs, future codes) of the next chunk
 
-        self._background = background_lags(config)
-        self._windows = _simulated_windows(config, self.model, config.prng_seed)
+        self._windows, self._background = _startup_windows(config)
         self.reports: list[dict[str, EntropyReport]] = []
         self._close_windows()
 
@@ -371,11 +394,9 @@ class Pipeline:
 
 
 @dataclass
-class PipelineRun:
-    uniform: bytes
-    gaussian_i: np.ndarray
-    gaussian_q: np.ndarray
-    rayleigh: np.ndarray
+class PipelineRun(BlockBatch):
+    """The concatenated batches of one `run_pipeline` call, with the run's reports."""
+
     reports: list[dict[str, EntropyReport]]
     raw_samples_consumed: int
     n_out: int

@@ -95,15 +95,6 @@ def savitzky_golay(values, window: int = 31, order: int = 3) -> np.ndarray:
     return out
 
 
-def smooth_histogram(counts, window: int = 31, order: int = 3) -> np.ndarray:
-    """Histogram-smoothing mode: apply the same filter to bin counts.
-
-    Intended for distribution-level denoising and figure reproduction; the
-    result is descriptive (smoothed counts are no longer multinomial).
-    """
-    return savitzky_golay(np.asarray(counts, dtype=np.float64), window, order)
-
-
 def encode_rayleigh(values: np.ndarray) -> bytes:
     """Amplitudes as float32 LE."""
     return values.astype("<f4").tobytes()

@@ -37,15 +37,12 @@ from urllib.parse import parse_qs, urlparse
 
 from .bits import BitBlock
 from .config import PipelineConfig
-from .gaussian import encode_gaussian
 from .pipeline import BATCH_BLOCKS, Pipeline
-from .rayleigh import encode_rayleigh
 from .stats import MIN_BITS, bit_tests
 
 log = logging.getLogger(__name__)
 
-# Content type of each output type's wire format. Uniform bytes are
-# already packed bits; gaussian.py and rayleigh.py encode the other two.
+# Content type of each output type's wire format (BlockBatch.wire).
 CONTENT_TYPES = {
     "uniform": "application/octet-stream",
     "gaussian": "application/x-int16-le",
@@ -150,16 +147,14 @@ class RandomService:
                 self._stop.wait(timeout=0.05)
                 continue
             batch = self.pipeline.process_blocks(n_blocks, want=want)
-            if batch.uniform:
-                if self._gate_uniform(batch.uniform):
-                    self.buffers["uniform"].put(batch.uniform)
-                else:
+            for output, buf in self.buffers.items():
+                data = batch.wire(output, self.pipeline.n_out)
+                if not data:
+                    continue
+                if output == "uniform" and not self._gate_uniform(data):
                     self.discarded_buffers += 1
-            if batch.gaussian_i.size or batch.gaussian_q.size:
-                self.buffers["gaussian"].put(
-                    encode_gaussian(batch.gaussian_i, batch.gaussian_q, self.pipeline.n_out))
-            if batch.rayleigh.size:
-                self.buffers["rayleigh"].put(encode_rayleigh(batch.rayleigh))
+                else:
+                    buf.put(data)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from triqrng.config import PipelineConfig
 from triqrng.entropy import min_entropy_iid, min_entropy_nonlinear, solve_g_star
 from triqrng.gaussian import grid_step, mix_pools, msb_truncate, output_precision, precision_from_report
 from triqrng.pipeline import Pipeline, run_pipeline
-from triqrng.rayleigh import phase_uniform, rayleigh_raw, savitzky_golay, smooth_histogram
+from triqrng.rayleigh import phase_uniform, rayleigh_raw, savitzky_golay
 from triqrng.service import RandomService
 from triqrng.source import lo_power_sweep, simulate_quadratures
 from triqrng.stats import bit_tests, chi2_sf, chi2_test, ks_test, monobit_test, runs_test
@@ -251,7 +251,7 @@ def test_c10_savitzky_golay_improvement(preset_pipeline):
         keep = expected >= 5
         dof = int(keep.sum()) - 2
         p_raw = chi2_sf(float(np.sum((obs[keep] - expected[keep]) ** 2 / expected[keep])), dof)
-        smoothed = smooth_histogram(obs, window, 3)
+        smoothed = savitzky_golay(obs, window, 3)
         p_filt = chi2_sf(float(np.sum((smoothed[keep] - expected[keep]) ** 2 / expected[keep])), dof)
         improved += p_filt >= p_raw
         still_fail += p_filt < 0.05

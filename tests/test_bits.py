@@ -31,12 +31,6 @@ def test_from_bytes_and_tobytes():
     assert list(block.bits()[:8]) == [1, 0, 1, 0, 0, 1, 0, 1]  # MSB-first
 
 
-def test_xor_is_bitwise():
-    a = BitBlock.from_bits(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
-    b = BitBlock.from_bits(np.array([0, 0, 1, 0, 1], dtype=np.uint8))
-    assert list((a ^ b).bits()) == [1, 0, 0, 1, 1]
-
-
 def test_codes_to_bits_offset_binary_msb_first():
     # 4-bit codes: -8 -> 0000, 0 -> 1000, 7 -> 1111
     block = codes_to_bits(np.array([-8, 0, 7]), bits=4)

@@ -163,27 +163,14 @@ def test_extract_gaussian_formats(fast_ini, tmp_path):
 
 
 def test_extract_rayleigh_histogram_mode(fast_ini, tmp_path):
+    ini = str(tmp_path / "window21.ini")
+    write_config(replace(load_config(fast_ini), sg_window=21), ini)
     out = str(tmp_path / "hist.csv")
-    assert main(["-c", fast_ini, "extract", "--type", "rayleigh", "--blocks", "64",
-                 "--out", out, "--histogram-mode", "--window", "21", "--order", "3"]) == 0
+    assert main(["-c", ini, "extract", "--type", "rayleigh", "--blocks", "64",
+                 "--out", out, "--histogram-mode"]) == 0
     lines = Path(out).read_text().splitlines()
     assert lines[0] == "bin_center,count,smoothed"
     assert len(lines) == 257
-
-
-def test_extract_order_zero_overrides_the_config(fast_ini, tmp_path):
-    outs = {}
-    for name, args in (("default", []), ("flag", ["--order", "0"])):
-        outs[name] = str(tmp_path / f"{name}.f32")
-        assert main(["-c", fast_ini, "extract", "--type", "rayleigh", "--blocks", "64",
-                     "--out", outs[name], *args]) == 0
-    ini = str(tmp_path / "order0.ini")
-    write_config(replace(load_config(fast_ini), sg_order=0), ini)
-    outs["ini"] = str(tmp_path / "ini.f32")
-    assert main(["-c", ini, "extract", "--type", "rayleigh", "--blocks", "64", "--out", outs["ini"]]) == 0
-    data = {name: Path(path).read_bytes() for name, path in outs.items()}
-    assert data["flag"] == data["ini"]
-    assert data["flag"] != data["default"]
 
 
 def test_extract_rejects_a_geometry_the_startup_certification_refuses(fast_ini, tmp_path, capsys):
@@ -215,20 +202,10 @@ def test_extract_rejects_a_bad_config_file_with_status_2(tmp_path, capsys, old, 
     assert not os.path.exists(out)
 
 
-def test_extract_rejects_a_bad_smoothing_override(fast_ini, tmp_path, capsys):
-    out = str(tmp_path / "r.f32")
-    rc = main(["-c", fast_ini, "extract", "--type", "rayleigh", "--blocks", "8", "--out", out, "--window", "4"])
-    assert rc == 2
-    assert "sg_window must be a positive odd integer" in capsys.readouterr().err
-    assert not os.path.exists(out)
-
-
 @pytest.mark.parametrize("rtype, flags, named", [
     pytest.param("uniform", ["--format", "csv"], "--format csv", id="csv-uniform"),
     pytest.param("gaussian", ["--histogram-mode"], "--histogram-mode", id="histogram-gaussian"),
     pytest.param("uniform", ["--histogram-mode"], "--histogram-mode", id="histogram-uniform"),
-    pytest.param("gaussian", ["--window", "21"], "--window", id="window-gaussian"),
-    pytest.param("uniform", ["--order", "3"], "--order", id="order-uniform"),
 ])
 def test_extract_refuses_an_option_that_does_nothing_for_its_type(fast_ini, tmp_path, capsys,
                                                                   rtype, flags, named):

@@ -77,6 +77,15 @@ def test_passes_beyond_exact_pool_sums_are_rejected(field):
         PipelineConfig(**{field: 21})
 
 
+def test_sg_window_longer_than_one_block_is_rejected():
+    # a 1-block Rayleigh batch holds block_n // adc_bits = 96 samples; a
+    # longer window was skipped and left the amplitudes unsmoothed
+    assert PipelineConfig(sg_window=95).sg_window == 95
+    with pytest.raises(ConfigError, match=r"\[extraction\] sg_window"):
+        PipelineConfig(sg_window=97)
+    assert PipelineConfig(block_n=3072, sg_window=101).sg_window == 101
+
+
 def test_pipeline_and_service_limits_are_inclusive():
     PipelineConfig(certify_samples=5, prediction_order=4, buffer_bytes=1 << 20, max_request_bytes=1 << 20)
     PipelineConfig(prediction_order=0)
@@ -107,7 +116,7 @@ def _finite(lo: float, hi: float, **kw):
 def configs(draw) -> PipelineConfig:
     bits = draw(st.integers(4, 24))
     block_n = math.lcm(8, bits) * draw(st.integers(1, 8))  # whole codes and whole bytes
-    sg_window = 2 * draw(st.integers(0, 40)) + 1
+    sg_window = 2 * draw(st.integers(0, min(40, (block_n // bits - 1) // 2))) + 1  # at most one block
     buffer_bytes = draw(st.integers(1, 1 << 30))
     certify_samples = draw(st.integers(1, 1 << 24))
     host = draw(st.sampled_from(["127.0.0.1", "0.0.0.0", "localhost", "::1"]))

@@ -58,6 +58,39 @@ def test_g_star_scale_invariance():
     assert abs(g10 / g1 - 10.0) < 1e-9
 
 
+# g* of every ADC width at the preset's 128 mV range, as float.hex: the
+# bisection's exact result, so a change to its bracket or steps shows here
+G_STAR_PRESET_RANGE = {
+    4: "0x1.af44b749fe0fep-5",
+    5: "0x1.78b74847166b5p-5",
+    6: "0x1.5050fde074890p-5",
+    7: "0x1.31401624fb708p-5",
+    8: "0x1.189ccb3f74156p-5",
+    9: "0x1.04926c494d41ep-5",
+    10: "0x1.e7da9f6fc54f0p-6",
+    11: "0x1.cbb815ca8257dp-6",
+    12: "0x1.b396f83ebc5f4p-6",
+    13: "0x1.9ea2c1e51e72dp-6",
+    14: "0x1.8c3e3c6ae2d14p-6",
+    15: "0x1.7bf2a359e969fp-6",
+    16: "0x1.6d6490efd11d3p-6",
+    17: "0x1.604c869b77e95p-6",
+    18: "0x1.5471c5a8bbc3cp-6",
+    19: "0x1.49a6ad4caaf4ap-6",
+    20: "0x1.3fc61ea07f336p-6",
+    21: "0x1.36b1947ce3930p-6",
+    22: "0x1.2e4fb931e7542p-6",
+    23: "0x1.268b55d43ac8cp-6",
+    24: "0x1.1f52824ddeedep-6",
+}
+
+
+def test_g_star_pinned_for_every_adc_width():
+    for bits, pinned in G_STAR_PRESET_RANGE.items():
+        spec = AdcSpec(bits=bits, range_v=0.128)
+        assert solve_g_star(spec.bin_width, spec.range_v / 2).hex() == pinned, bits
+
+
 def test_g_star_six_decade_sweep():
     for r_exp in (-3, -1, 1, 3):
         r = 10.0**r_exp

@@ -199,11 +199,25 @@ def test_startup_gate_rejects_overcommitted_geometry():
 def test_startup_window_the_bound_cannot_be_evaluated_on_is_refused(monkeypatch):
     # an LO-off background four times the excess noise is louder than the
     # whole startup record: the quantum lag-0 variance is negative
-    real = triqrng.pipeline.background_lags
-    monkeypatch.setattr(triqrng.pipeline, "background_lags",
-                        lambda cfg: real(replace(cfg, sigma_e2=4 * cfg.sigma_e2)))
+    real = triqrng.pipeline._startup_windows
+    monkeypatch.setattr(triqrng.pipeline, "_startup_windows",
+                        lambda cfg: (real(cfg)[0], real(replace(cfg, sigma_e2=4 * cfg.sigma_e2))[1]))
     with pytest.raises(StartupError, match="certification failed.*not positive"):
         Pipeline(fast_config())
+
+
+def test_certify_of_the_simulated_records_is_the_startup_certification():
+    # the records certify and Pipeline simulate when none is given: the
+    # startup record at prng_seed, the LO-off background at prng_seed + 10_000
+    cfg = fast_config()
+    spec = cfg.adc_spec()
+
+    def record(config, seed):
+        frame = simulate_quadratures(config.noise_model(), cfg.certify_samples, seed)
+        return quantize_channel(frame.i_samples, spec).codes, quantize_channel(frame.q_samples, spec).codes
+
+    reports = certify(cfg, record(cfg, cfg.prng_seed), record(replace(cfg, lo_power_mw=0.0), cfg.prng_seed + 10_000))
+    assert reports == certify(cfg) == Pipeline(cfg).reports[0]
 
 
 def test_every_uniform_batch_closes_the_startup_windows(monkeypatch):
