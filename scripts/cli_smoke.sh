@@ -63,6 +63,12 @@ expect_exit 2 -c "$dir/smoke.ini" extract --type uniform --format csv --out "$di
 test ! -e "$dir/u.csv"
 expect_exit 2 -c "$dir/smoke.ini" extract --type gaussian --histogram-mode --out "$dir/h.csv"
 test ! -e "$dir/h.csv"
+# a smoothing window wider than the histogram's 256 bins is refused before the pipeline starts
+sed -e 's/^block_n = .*/block_n = 8192/' -e 's/^block_m = .*/block_m = 4096/' -e 's/^sg_window = .*/sg_window = 301/' \
+  "$dir/smoke.ini" > "$dir/wide.ini"
+grep -q '^sg_window = 301$' "$dir/wide.ini"
+expect_exit 2 -c "$dir/wide.ini" extract --type rayleigh --histogram-mode --out "$dir/wide.csv"
+test ! -e "$dir/wide.csv"
 # a significance level outside (0, 1) is refused while the arguments are parsed
 expect_exit 2 test --bits "$dir/bits.bin" --alpha 0
 # a missing input, or samples that are not whole float32s, is a usage error, not a failed test

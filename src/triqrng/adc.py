@@ -106,40 +106,43 @@ def _padded_edges(spec: AdcSpec) -> np.ndarray:
 
 
 QUANTIZE_CHUNK = 1 << 16  # samples per pass; one pass per default channel measured fastest on the source worker
+ONE_STEP_DNL = 0.45  # DNL bounds up to this leave the one-step guess of quantize_channel ample room
 
 
 def quantize_channel(volts: np.ndarray, spec: AdcSpec) -> CodeBlock:
     """Map one voltage record to codes; out-of-range values clamp, NaN is rejected.
 
-    The offset code is the number of bin edges <= v. Since |DNL| < 0.5 bin,
-    that is the ideal bin floor((v + R/2)/dx) or one of its neighbours, so
-    one comparison with each adjacent edge settles it. A rounding error in
-    the guess only happens next to an ideal edge, where the true edge is
-    still within one bin of the guess.
+    The offset code is the number of bin edges <= v. Every edge lies within
+    dnl_max bin of its ideal place, so with u = (v + R/2)/dx the code is in
+    (u - 1 - dnl_max, u + dnl_max]; for dnl_max < 1/2 that holds only
+    floor(u - 1/2) and the code above it, and one comparison with the edge
+    above the guess settles it. The guess's rounding error (about 1e-8 bin
+    at 24 bits) stays far inside the 1/2 - dnl_max of room while dnl_max <=
+    ONE_STEP_DNL; a wider DNL bound searches the edges instead.
     """
     v = np.asarray(volts, dtype=np.float64)
     flat = v.reshape(-1)
     edges = _padded_edges(spec)
     half = spec.range_v / 2
-    top = (1 << spec.bits) - 1
     idx = np.empty(flat.size, dtype=np.int32)
     clamped = 0
     for start in range(0, flat.size, QUANTIZE_CHUNK):
         x = flat[start:start + QUANTIZE_CHUNK]
-        if np.isnan(x).any():
+        lo, hi = x.min(), x.max()  # the minimum of values with a NaN is NaN
+        if np.isnan(lo):
             raise ValueError("NaN voltage cannot be quantized")
-        clamped += int(np.count_nonzero(x < -half) + np.count_nonzero(x >= half))
-        guess = x + half
-        guess /= spec.bin_width
-        np.floor(guess, out=guess)
-        np.clip(guess, 0, top, out=guess)
-        k = guess.astype(np.intp)
-        below = x < edges.take(k)
-        above = x >= edges.take(k + 1)
-        k -= below
-        k += above
-        idx[start:start + x.size] = k
-    idx -= 1 << (spec.bits - 1)
+        inside = x
+        if lo < -half or hi >= half:
+            clamped += int(np.count_nonzero(x < -half) + np.count_nonzero(x >= half))
+            inside = np.clip(x, -half, np.nextafter(half, 0.0))
+        if spec.dnl_max > ONE_STEP_DNL:
+            k = np.searchsorted(edges[1:-1], x, side="right")
+        else:
+            guess = inside + (half - spec.bin_width / 2)
+            guess *= 1 / spec.bin_width
+            k = guess.astype(np.intp)  # guess >= -1/2, so truncation is the floor or 0
+            k += x >= edges[1:].take(k)
+        np.subtract(k, 1 << (spec.bits - 1), out=idx[start:start + x.size], casting="unsafe")
     return CodeBlock(codes=idx.reshape(v.shape), spec=spec, clamped=clamped)
 
 

@@ -26,6 +26,8 @@ from .source import simulate_quadratures, write_frame_csv, write_frame_raw
 from .stats import bit_tests, chi2_test, ks_test
 from .bits import BitBlock
 
+HISTOGRAM_BINS = 256  # bins of the Rayleigh histogram that extract --histogram-mode smooths
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -105,9 +107,13 @@ def _cmd_extract(args) -> int:
             print(f"extract: {flag} does nothing for --type {args.type}", file=sys.stderr)
             return 2
     cfg = _config_from(args)
+    if args.histogram_mode and cfg.sg_window > HISTOGRAM_BINS:
+        print(f"extract: --histogram-mode smooths {HISTOGRAM_BINS} bins, narrower than "
+              f"[extraction] sg_window = {cfg.sg_window}", file=sys.stderr)
+        return 2
     run = run_pipeline(cfg, args.blocks, want={args.type})
     if args.histogram_mode:
-        counts, edges = np.histogram(run.rayleigh, bins=256)
+        counts, edges = np.histogram(run.rayleigh, bins=HISTOGRAM_BINS)
         smoothed = savitzky_golay(counts.astype(np.float64), cfg.sg_window, cfg.sg_order)
         data = _csv_bytes(0.5 * (edges[:-1] + edges[1:]), counts, smoothed, header="bin_center,count,smoothed")
     elif args.format == "bin":

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -41,6 +42,7 @@ log = logging.getLogger(__name__)
 BATCH_BLOCKS = 512  # per-channel blocks per batch of run_pipeline and bench; the service's batch is at least this
 OUTPUT_TYPES = ("uniform", "gaussian", "rayleigh")
 SEED_FRAME = 4096  # samples per simulated frame drawn for the Toeplitz seed
+PREFETCH = 2  # stream chunks queued on a Pipeline's source worker
 CodeRecord = tuple[np.ndarray, np.ndarray]  # one digitized record: (I codes, Q codes)
 
 
@@ -217,14 +219,18 @@ class Pipeline:
     `recertify_every` blocks have passed since the last one, and always
     when it stops an output.
 
-    Raw codes are made one batch ahead: the batch that takes chunk k
-    submits chunk k+1, at its own sample count, to a worker thread started
-    by the first batch, which simulates and digitizes it while this batch
-    is certified and extracted. A prefetched chunk is used only when the
-    model, ADC spec, seed and count it was made from are the ones the next
-    batch needs, so the bytes are those of making every chunk in line.
-    Memory holds one more chunk. A dropped Pipeline ends its worker by
-    reference counting.
+    Raw codes are made two batches ahead: the batch that takes chunk k
+    tops a queue of `PREFETCH` chunks back up with chunks k+1 and k+2, at
+    its own sample count, on a worker thread started by the first batch,
+    which simulates and digitizes them while batches are certified and
+    extracted. With a second chunk queued the worker goes straight from one
+    chunk to the next instead of sleeping until the next batch wakes it.
+    The head chunk is used only when the model, ADC spec, seed and count it
+    was made from are the ones the next batch needs; otherwise every queued
+    chunk is waited for and dropped. So the bytes are those of making every
+    chunk in line. Memory holds two more chunks. `source_wait_s` adds up
+    the seconds batches spent waiting for the worker. A dropped Pipeline
+    ends its worker by reference counting.
     """
 
     def __init__(self, config: PipelineConfig):
@@ -238,7 +244,8 @@ class Pipeline:
         self._chunk_index = 0
         # the worker thread starts with the first submitted chunk, not here
         self._source = ThreadPoolExecutor(max_workers=1, thread_name_prefix="triqrng-source")
-        self._ahead: tuple[tuple, Future] | None = None  # (inputs, future codes) of the next chunk
+        self._ahead: deque[tuple[tuple, Future]] = deque()  # (inputs, future codes) of the next chunks
+        self.source_wait_s = 0.0
 
         self._windows, self._background = _startup_windows(config)
         self.reports: list[dict[str, EntropyReport]] = []
@@ -307,29 +314,31 @@ class Pipeline:
         return (self.model, self.spec, self.config.prng_seed + 1_000_000 + index, count)
 
     def _next_codes(self, n_blocks: int) -> tuple[CodeBlock, CodeBlock]:
-        """The next chunk's codes, and the chunk after it submitted to the worker.
+        """The next chunk's codes, with the queue topped back up on the worker.
 
-        A prefetched chunk is used only if it was made from exactly the
-        inputs this call needs; otherwise it is waited for, dropped, and the
-        chunk is made here. A worker error is raised by the call whose chunk
-        it was, which then consumes nothing.
+        The head of the queue is used only if it was made from exactly the
+        inputs this call needs; otherwise every queued chunk is waited for
+        and dropped with any error it raised, and the chunk is made here. A
+        worker error is raised by the call whose chunk it was, which then
+        consumes nothing.
         """
         count = n_blocks * self.samples_per_block
         inputs = self._chunk_inputs(self._chunk_index, count)
-        ahead, self._ahead = self._ahead, None
-        codes = None
-        if ahead is not None:
-            made_from, future = ahead
-            if made_from == inputs:
-                codes = future.result()
-            else:
-                future.exception()  # a stale chunk: wait for it and drop it with any error it raised
-        if codes is None:
+        queue = self._ahead
+        fresh = bool(queue) and queue[0][0] == inputs
+        t0 = time.perf_counter()
+        wait([queue[0][1]] if fresh else [future for _, future in queue])
+        self.source_wait_s += time.perf_counter() - t0
+        if fresh:
+            codes = queue.popleft()[1].result()
+        else:
+            queue.clear()
             codes = _chunk_codes(*inputs)
         self._chunk_index += 1
         self.raw_samples_consumed += 2 * count
-        following = self._chunk_inputs(self._chunk_index, count)
-        self._ahead = (following, self._source.submit(_chunk_codes, *following))
+        for index in range(self._chunk_index + len(queue), self._chunk_index + PREFETCH):
+            following = self._chunk_inputs(index, count)
+            queue.append((following, self._source.submit(_chunk_codes, *following)))
         return codes
 
     def _extract_uniform(self, codes_i: CodeBlock, codes_q: CodeBlock, n_blocks: int) -> bytes:
@@ -443,6 +452,8 @@ def bench(config: PipelineConfig, seconds: float = 2.0) -> dict:
     Times `process_blocks(BATCH_BLOCKS)` on all three types, the batch
     that `run_pipeline` and the service fill make; every batch closes its
     own certification window. Pipeline startup is not timed.
+    `source_wait_share` is the share of the timed seconds that batches
+    spent waiting for the source worker.
     """
     if seconds <= 0:
         raise ValueError("seconds must be positive")
@@ -461,6 +472,7 @@ def bench(config: PipelineConfig, seconds: float = 2.0) -> dict:
     raw_samples = blocks * pipe.samples_per_block * 2
     return {
         "seconds": elapsed,
+        "source_wait_share": pipe.source_wait_s / elapsed,
         "blocks": blocks,
         "raw_samples_per_s": raw_samples / elapsed,
         "raw_bits_per_s": raw_samples * pipe.spec.bits / elapsed,

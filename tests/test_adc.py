@@ -87,6 +87,16 @@ def test_quantize_matches_searchsorted_oracle(bits, range_v, dnl_max):
     assert blk.clamped == int(np.count_nonzero(v < -half) + np.count_nonzero(v >= half))
 
 
+@pytest.mark.parametrize("dnl_max", [triqrng.adc.ONE_STEP_DNL, np.nextafter(triqrng.adc.ONE_STEP_DNL, 1.0)])
+def test_quantize_matches_the_oracle_on_both_sides_of_the_one_step_bound(dnl_max):
+    # 20 bits: the deepest ADC whose edges a test can hold, so the guess's rounding error is largest
+    spec = AdcSpec(bits=20, range_v=0.128, dnl_max=dnl_max, dnl_seed=9)
+    edges = _edges(spec)
+    v = np.concatenate([_with_neighbours(edges[::7]), np.random.default_rng(9).uniform(-0.065, 0.065, 1 << 18)])
+    expected = np.searchsorted(edges, v, side="right") - (1 << 19)
+    assert np.array_equal(quantize_channel(v, spec).codes, expected)
+
+
 def test_quantize_chunk_size_changes_nothing(monkeypatch):
     # a DNL record that clamps at both ends, 3 * 8192 + 7 samples so every
     # chunk size but 1 ends on a partial chunk

@@ -37,6 +37,10 @@ def test_bench_reports_all_rates(report):
     assert report["uniform_bits_per_s"] > 0
 
 
+def test_bench_reports_the_share_of_time_spent_waiting_for_the_source(report):
+    assert 0.0 <= report["source_wait_share"] < 1.0
+
+
 def test_bench_certifies_every_timed_batch(counted_run):
     # each timed 512-block batch closes the I and Q stream windows
     report, windows_closed = counted_run

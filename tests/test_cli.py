@@ -173,6 +173,18 @@ def test_extract_rayleigh_histogram_mode(fast_ini, tmp_path):
     assert len(lines) == 257
 
 
+def test_extract_histogram_mode_refuses_a_window_wider_than_its_bins(tmp_path, capsys, monkeypatch):
+    ini = str(tmp_path / "wide.ini")
+    write_config(replace(default_config(), block_n=8192, block_m=4096, sg_window=301), ini)
+    started = []
+    monkeypatch.setattr("triqrng.cli.run_pipeline", lambda *a, **kw: started.append(a))
+    out = str(tmp_path / "hist.csv")
+    assert main(["-c", ini, "extract", "--type", "rayleigh", "--out", out, "--histogram-mode"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("extract: ") and "[extraction] sg_window" in err and "256" in err
+    assert not started and not os.path.exists(out)
+
+
 def test_extract_rejects_a_geometry_the_startup_certification_refuses(fast_ini, tmp_path, capsys):
     ini = str(tmp_path / "greedy.ini")
     write_config(replace(load_config(fast_ini), block_m=1248), ini)

@@ -23,7 +23,8 @@ from triqrng.bits import BitBlock
 from triqrng.config import PipelineConfig
 from triqrng.entropy import extractable_length
 from triqrng.gaussian import encode_gaussian
-from triqrng.pipeline import BATCH_BLOCKS, Pipeline, StartupError, certify, rayleigh_amplitudes, run_pipeline
+from triqrng.pipeline import (BATCH_BLOCKS, PREFETCH, Pipeline, StartupError, certify, rayleigh_amplitudes,
+                              run_pipeline)
 from triqrng.rayleigh import encode_rayleigh, savitzky_golay
 from triqrng.service import RandomService
 from triqrng.source import simulate_quadratures
@@ -378,14 +379,14 @@ def test_gaussian_only_batches_keep_certifying_after_uniform_stops():
 def test_process_blocks_refuses_bad_arguments_before_consuming(n_blocks, want, match):
     pipe = Pipeline(fast_config(certify_samples=1 << 16))
     pipe.process_blocks(8, want={"rayleigh"})
-    state = (pipe._ahead, pipe._chunk_index, pipe.raw_samples_consumed)
+    state = (list(pipe._ahead), pipe._chunk_index, pipe.raw_samples_consumed)
     with pytest.raises(ValueError, match=match):
         pipe.process_blocks(n_blocks, want=want)
-    # the prefetched chunk is still waiting for the next batch
-    assert (pipe._ahead, pipe._chunk_index, pipe.raw_samples_consumed) == state
+    # both queued chunks are still waiting for the next batch
+    assert (list(pipe._ahead), pipe._chunk_index, pipe.raw_samples_consumed) == state
 
 
-# -- the one-batch-ahead source stage ----------------------------------------
+# -- the two-batches-ahead source stage -------------------------------------
 
 OUTPUT_TYPES = ("uniform", "gaussian", "rayleigh")
 
@@ -435,7 +436,7 @@ def _source_threads() -> set[threading.Thread]:
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 48), st.sets(st.sampled_from(OUTPUT_TYPES))), min_size=1, max_size=6))
 def test_prefetched_stream_equals_the_serial_oracle(batches):
-    # any batch sizes and routings: a size change discards the prefetched chunk
+    # any batch sizes and routings: a size change discards the queued chunks
     cfg = _stage_config()
     pipe, oracle = RecordingPipeline(cfg), SerialPipeline(cfg)
     for k, (n_blocks, want) in enumerate(batches):
@@ -449,7 +450,7 @@ def test_prefetched_stream_equals_the_serial_oracle(batches):
 
 @pytest.mark.parametrize("swap", ["model", "spec", "seed"])
 def test_an_input_swapped_between_batches_takes_effect_on_the_next_batch(swap):
-    # the chunk prefetched during batch 0 was made from the old inputs
+    # the chunks queued during batch 0 were made from the old inputs
     cfg = _stage_config()
     pipe, oracle = RecordingPipeline(cfg), SerialPipeline(cfg)
     for p in (pipe, oracle):
@@ -485,8 +486,8 @@ def test_a_worker_fault_is_raised_by_the_batch_that_consumes_its_chunk(monkeypat
     pipe = Pipeline(_stage_config())
     # calls 1-2: chunk 0 in line; 3-4: chunk 1 on the worker; 5: chunk 2's I channel
     monkeypatch.setattr(triqrng.pipeline, "quantize_channel", _fail_on_call(5))
-    pipe.process_blocks(16)
-    pipe.process_blocks(16)  # submits chunk 2, which fails on the worker
+    pipe.process_blocks(16)  # queues chunks 1 and 2; chunk 2 fails on the worker
+    pipe.process_blocks(16)  # consumes chunk 1 and queues chunk 3
     consumed = pipe.raw_samples_consumed
     with pytest.raises(RuntimeError, match="injected ADC fault"):
         pipe.process_blocks(16)
@@ -497,6 +498,74 @@ def test_a_worker_fault_is_raised_by_the_batch_that_consumes_its_chunk(monkeypat
     for _ in range(3):
         expect = oracle.process_blocks(16)
     assert _same_batch(pipe.process_blocks(16), expect)
+
+
+def test_a_fault_in_the_second_queued_chunk_is_raised_only_by_the_call_that_consumes_it(monkeypatch):
+    pipe = Pipeline(_stage_config())
+    oracle = SerialPipeline(_stage_config())
+    # calls 1-2: chunk 0 in line; 3-4: chunk 1, the head; 5: chunk 2's I channel, behind it
+    monkeypatch.setattr(triqrng.pipeline, "quantize_channel", _fail_on_call(5))
+    assert _same_batch(pipe.process_blocks(16), oracle.process_blocks(16))
+    (head_inputs, head), (_, second) = pipe._ahead
+    assert isinstance(second.exception(timeout=30), RuntimeError)
+    # the head is whole: its batch returns the serial bytes and consumes one chunk
+    consumed = pipe.raw_samples_consumed
+    assert _same_batch(pipe.process_blocks(16), oracle.process_blocks(16))
+    assert pipe.raw_samples_consumed == 2 * consumed
+    assert head.exception() is None and head_inputs[2] == pipe.config.prng_seed + 1_000_000 + 1
+    consumed = pipe.raw_samples_consumed
+    with pytest.raises(RuntimeError, match="injected ADC fault"):
+        pipe.process_blocks(16)
+    assert pipe.raw_samples_consumed == consumed and pipe._chunk_index == 2
+    monkeypatch.undo()
+    assert _same_batch(pipe.process_blocks(16), oracle.process_blocks(16))
+
+
+def test_a_batch_size_change_drops_both_queued_chunks(monkeypatch):
+    made = []
+    real = triqrng.pipeline.simulate_quadratures
+
+    def counted(model, n, seed):
+        made.append((n, seed))  # list.append is atomic, so the worker may call it too
+        return real(model, n, seed)
+
+    monkeypatch.setattr(triqrng.pipeline, "simulate_quadratures", counted)
+    pipe = RecordingPipeline(_stage_config())
+    made.clear()  # startup records
+    spb = pipe.samples_per_block
+    pipe.process_blocks(16)
+    dropped = [future for _, future in pipe._ahead]
+    assert [inputs[3] for inputs, _ in pipe._ahead] == [16 * spb] * PREFETCH
+    pipe.process_blocks(8)
+    assert all(future.done() for future in dropped)
+    assert [inputs[3] for inputs, _ in pipe._ahead] == [8 * spb] * PREFETCH
+    for _, future in pipe._ahead:
+        future.result(timeout=30)
+    base = pipe.config.prng_seed + 1_000_000
+    # six chunks made: 0, 1 and 2 at 16 blocks, then 1 again in line, 2 and 3 at 8 blocks
+    assert sorted(made) == sorted([(16 * spb, base + k) for k in (0, 1, 2)]
+                                  + [(8 * spb, base + k) for k in (1, 2, 3)])
+    # two consumed
+    assert pipe.raw_samples_consumed == 2 * (16 + 8) * spb
+    for k, n_blocks in enumerate((16, 8)):
+        expect = serial_codes(pipe, k, n_blocks * spb)
+        assert all(np.array_equal(got.codes, ref.codes) for got, ref in zip(pipe.consumed[k], expect))
+
+
+def test_source_wait_counts_the_time_batches_wait_for_the_worker(monkeypatch):
+    real = triqrng.pipeline.simulate_quadratures
+
+    def slow_on_the_worker(model, n, seed):
+        if threading.current_thread().name.startswith("triqrng-source"):
+            time.sleep(0.5)
+        return real(model, n, seed)
+
+    pipe = Pipeline(_stage_config())
+    monkeypatch.setattr(triqrng.pipeline, "simulate_quadratures", slow_on_the_worker)
+    pipe.process_blocks(16)  # chunk 0 is made in line, with nothing queued to wait for
+    assert pipe.source_wait_s < 0.05
+    pipe.process_blocks(16)  # chunk 1 is still on the worker
+    assert 0.2 < pipe.source_wait_s < 30
 
 
 def test_a_worker_fault_fails_the_service(monkeypatch):
@@ -525,6 +594,7 @@ def test_a_dropped_pipeline_ends_its_worker_without_the_cycle_collector():
     pipe = Pipeline(_stage_config())
     before = _source_threads()
     pipe.process_blocks(16)
+    assert len(pipe._ahead) == PREFETCH
     (worker,) = _source_threads() - before
     gc.disable()
     try:
