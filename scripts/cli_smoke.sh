@@ -98,4 +98,18 @@ cmp "$dir/cert.json" "$dir/cert_files.json"
 sed 's/^\[pipeline\]$/[pipeline]\npsd_segment = 4096/' "$dir/smoke.ini" > "$dir/old.ini"
 grep -q '^psd_segment = 4096$' "$dir/old.ini"
 expect_exit 2 -c "$dir/old.ini" certify
+# the runtime needs numpy alone: in a Python where `import scipy` fails,
+# certify and extract write the same bytes and test keeps its exit-code contract
+no_scipy() {
+  PYTHONPATH=src python -c 'import sys; sys.modules["scipy"] = None
+from triqrng.cli import main; sys.exit(main(sys.argv[1:]))' "$@"
+}
+no_scipy -c "$dir/smoke.ini" certify --json-out "$dir/cert_ns.json" > /dev/null
+cmp "$dir/cert.json" "$dir/cert_ns.json"
+no_scipy -c "$dir/smoke.ini" extract --type uniform --out "$dir/bits_ns.bin"
+cmp "$dir/bits.bin" "$dir/bits_ns.bin"
+rc_ns=0
+no_scipy test --bits "$dir/bits.bin" > "$dir/bits_ns.json" || rc_ns=$?
+[ "$rc_ns" -eq "$rc" ]
+cmp "$dir/bits.json" "$dir/bits_ns.json"
 echo "CLI smoke passed"

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .adc import AdcSpec
 
@@ -78,7 +77,7 @@ def solve_g_star(delta_x: float, r: float) -> float:
         raise ValueError(f"need 0 < delta_x < r, got delta_x={delta_x}, r={r}")
 
     def f(g: float) -> float:
-        return special.erf(delta_x / (2 * g)) - special.erfc(r / g)
+        return math.erf(delta_x / (2 * g)) - math.erfc(r / g)
 
     lo, hi = 1e-12 * r, 1e12 * r
     if not f(lo) > 0 > f(hi):  # only when delta_x / r is so small that erf's argument underflows
@@ -91,8 +90,8 @@ def solve_g_star(delta_x: float, r: float) -> float:
             lo = g
         else:
             hi = g
-        erf_term = special.erf(delta_x / (2 * g))
-        if abs(erf_term - special.erfc(r / g)) <= G_STAR_REL_TOL * erf_term:
+        erf_term = math.erf(delta_x / (2 * g))
+        if abs(erf_term - math.erfc(r / g)) <= G_STAR_REL_TOL * erf_term:
             return g
         if hi - lo <= np.spacing(lo):
             break
@@ -108,7 +107,7 @@ def min_entropy_iid(n_photon: float, delta_x: float, r: float) -> float:
     if n_photon < 0:
         raise ValueError("n_photon must be >= 0")
     g = solve_g_star(delta_x, r)
-    return -math.log2(_occupation_prefactor(n_photon) * special.erf(delta_x / (2 * g)))
+    return -math.log2(_occupation_prefactor(n_photon) * math.erf(delta_x / (2 * g)))
 
 
 def min_entropy_nonlinear(n_photon: float, spec: AdcSpec) -> float:
@@ -123,7 +122,7 @@ def min_entropy_nonlinear(n_photon: float, spec: AdcSpec) -> float:
     r = spec.range_v / 2
     g = solve_g_star(dx, r)
     widened = dx * (1.0 + spec.dnl_max)
-    return -math.log2(_occupation_prefactor(n_photon) * special.erf(widened / (2 * g)))
+    return -math.log2(_occupation_prefactor(n_photon) * math.erf(widened / (2 * g)))
 
 
 def effective_photon_number(sigma_m2: float, sigma_qc2: float) -> float:

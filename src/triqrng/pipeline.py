@@ -16,7 +16,6 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .entropy import (
 )
 from .gaussian import encode_gaussian, mix_pools, msb_truncate, output_precision, precision_from_report
 from .rayleigh import encode_rayleigh, rayleigh_raw, savitzky_golay
-from .source import NoiseModel, simulate_quadratures
+from .source import NoiseModel, simulate_channels, simulate_quadratures
 from .toeplitz import ToeplitzExtractor, ToeplitzSeed, next_admissible, seed_chain
 
 log = logging.getLogger(__name__)
@@ -91,25 +90,24 @@ def channel_report(
 
 
 def _lag_windows(config: PipelineConfig, model: NoiseModel, prng_seed: int,
-                 record: Iterable[np.ndarray] | None) -> dict[str, LagWindow]:
+                 record: CodeRecord | None) -> dict[str, LagWindow]:
     """Per-channel trailing lag windows of `certify_samples`, opened on the
     I and Q codes of `record`, or of `certify_samples` samples simulated
     from `model` at `prng_seed` when `record` is None.
 
-    A simulated channel is digitized only when its window is fed, by a
-    nested call that releases the codes before the frame: freeing the
-    frame first leaves glibc's heap about 4 MB larger for the life of the
-    process (the service's peak RSS showed it).
+    A simulated record is made one channel at a time: a channel is
+    simulated, digitized and fed, and its codes and then its voltages are
+    released, before the next one is simulated, so startup never holds
+    both channels' voltages.
     """
-    if record is None:
-        spec = config.adc_spec()
-        frame = simulate_quadratures(model, config.certify_samples, prng_seed)
-        return _lag_windows(config, model, prng_seed,
-                            (quantize_channel(volts, spec).codes for volts in (frame.i_samples, frame.q_samples)))
+    spec = config.adc_spec()
+    channels = iter(record) if record is not None else simulate_channels(model, config.certify_samples, prng_seed)
     windows = {}
-    for channel, codes in zip("iq", record):
+    for channel in "iq":  # not zip: its reused result tuple would keep one channel alive while the next is made
         windows[channel] = LagWindow(config.prediction_order, config.certify_samples)
-        windows[channel].feed(codes)
+        data = next(channels)
+        windows[channel].feed(data if record is not None else quantize_channel(data, spec).codes)
+        del data
     return windows
 
 
@@ -149,8 +147,8 @@ def provision_seed(config: PipelineConfig) -> ToeplitzSeed:
     p = next_admissible(config.block_n - 1)
     bits = []
     for k in range(-(-2 * p // (SEED_FRAME * spec.bits))):
-        frame = simulate_quadratures(model, SEED_FRAME, config.prng_seed + 900_000 + k)
-        bits.append(codes_to_bits(quantize_channel(frame.i_samples, spec).codes, spec.bits).bits())
+        volts_i = next(simulate_channels(model, SEED_FRAME, config.prng_seed + 900_000 + k))
+        bits.append(codes_to_bits(quantize_channel(volts_i, spec).codes, spec.bits).bits())
     return seed_chain(np.concatenate(bits), config.block_n, config.block_m)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -205,22 +206,28 @@ def _channel(rng: np.random.Generator, factor: np.ndarray, count: int, sat_clip_
     return out
 
 
+def simulate_channels(model: NoiseModel, count: int, prng_seed: int) -> Iterator[np.ndarray]:
+    """The I, then the Q record of `simulate_quadratures`, each simulated when asked for.
+
+    A caller that is done with the I record before it asks for the Q
+    record never holds both.
+    """
+    if count <= 0:
+        raise ValueError("count must be positive")
+    for ss, factor in zip(np.random.SeedSequence(prng_seed).spawn(2), model.factors()):
+        yield _channel(np.random.Generator(np.random.PCG64(ss)), factor, count, model.sat_clip_v)
+
+
 def simulate_quadratures(model: NoiseModel, count: int, prng_seed: int) -> QuadratureFrame:
     """Generate `count` paired I/Q samples, deterministic for a fixed seed.
 
     Each channel has the law of white Gaussian quantum noise of variance
     sigma_q2 convolved with the bandwidth taps, plus independent white
     Gaussian excess noise; it is drawn as count + q unit normals through
-    the channel's spectral factor. The channels are independent.
+    the channel's spectral factor. The channels are independent: each has
+    its own PCG64 stream from `SeedSequence(prng_seed).spawn(2)`.
     """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    ss_i, ss_q = np.random.SeedSequence(prng_seed).spawn(2)
-    factor_i, factor_q = model.factors()
-    return QuadratureFrame(
-        i_samples=_channel(np.random.Generator(np.random.PCG64(ss_i)), factor_i, count, model.sat_clip_v),
-        q_samples=_channel(np.random.Generator(np.random.PCG64(ss_q)), factor_q, count, model.sat_clip_v),
-    )
+    return QuadratureFrame(*simulate_channels(model, count, prng_seed))
 
 
 def lo_power_sweep(

@@ -10,10 +10,11 @@ to method-of-moments estimates from the sample (flagged in the report).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .bits import BitBlock
 
@@ -66,8 +67,8 @@ def _resolve_reference(reference: str, params: tuple | None, samples: np.ndarray
         if sigma <= 0:
             sigma = np.finfo(float).tiny
         return (
-            lambda x: special.ndtr((x - mu) / sigma),
-            lambda q: mu + sigma * special.ndtri(q),
+            lambda x: normal_cdf((x - mu) / sigma),
+            lambda q: mu + sigma * normal_quantile(q),
             2,
             estimated,
         )
@@ -110,8 +111,60 @@ def kolmogorov_sf(lam: float) -> float:
     return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * lam**2)))
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
+
+def normal_cdf(z) -> np.ndarray:
+    """Standard normal cdf, elementwise: 0.5 * erfc(-z / sqrt(2))."""
+    return _erfc(np.asarray(z, dtype=np.float64) / -math.sqrt(2.0)).astype(np.float64) / 2.0
+
+
+def normal_quantile(q) -> np.ndarray:
+    """Standard normal quantile on (0, 1), elementwise (Wichura's AS 241)."""
+    return _inv_cdf(np.asarray(q, dtype=np.float64)).astype(np.float64)
+
+
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS
+
+
 def chi2_sf(stat: float, dof: int) -> float:
-    return float(special.gammaincc(dof / 2.0, stat / 2.0))
+    """Chi-squared survival function: the regularized upper incomplete gamma Q(dof/2, stat/2).
+
+    Below x = a + 1 it sums the series of P = 1 - Q, above it evaluates the
+    continued fraction of Q by the modified Lentz method (Press et al.,
+    Numerical Recipes, 3rd ed., section 6.2). The prefactor's logarithm
+    loses about dof * 1e-16 to cancellation: the relative error is about
+    1e-11 at the gate's dof (7,812), 1e-9 at 10^6 and 1e-7 at 10^8.
+    """
+    a, x = dof / 2.0, stat / 2.0
+    if x <= 0.0:
+        return 1.0
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))  # x^a e^-x / Gamma(a)
+    terms = 100 + 20 * math.isqrt(int(a))  # near x = a either expansion needs a multiple of sqrt(a) terms
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, terms):
+            term *= x / (a + n)
+            total += term
+            if term < total * _EPS:
+                return max(0.0, 1.0 - prefactor * total)
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        h = d
+        for n in range(1, terms):
+            an = -n * (n - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = b + an / c
+            c = c if abs(c) >= _TINY else _TINY
+            h *= d * c
+            if abs(d * c - 1.0) <= _EPS:
+                return prefactor * h
+    raise ArithmeticError(f"chi2_sf did not converge for stat={stat}, dof={dof}")
 
 
 def ks_test(samples, reference: str, params: tuple | None = None, alpha: float = DEFAULT_ALPHA) -> GofReport:
@@ -174,7 +227,7 @@ _LONGEST_RUN_TABLES = {
 def monobit_test(bits: np.ndarray, alpha: float = DEFAULT_ALPHA) -> GofReport:
     n = bits.size
     s = abs(int(2 * np.count_nonzero(bits) - n)) / math.sqrt(n)
-    return _report("monobit", s, special.erfc(s / math.sqrt(2.0)), alpha, n)
+    return _report("monobit", s, math.erfc(s / math.sqrt(2.0)), alpha, n)
 
 
 def block_frequency_test(bits: np.ndarray, m: int = BLOCK_FREQUENCY_M, alpha: float = DEFAULT_ALPHA) -> GofReport:
@@ -194,7 +247,7 @@ def runs_test(bits: np.ndarray, alpha: float = DEFAULT_ALPHA) -> GofReport:
     v = 1 + int(np.count_nonzero(np.diff(bits)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return _report("runs", v, special.erfc(num / den), alpha, n)
+    return _report("runs", v, math.erfc(num / den), alpha, n)
 
 
 def longest_run_test(bits: np.ndarray, alpha: float = DEFAULT_ALPHA) -> GofReport:

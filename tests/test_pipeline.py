@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.request
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -611,6 +612,27 @@ def test_importing_the_pipeline_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "1"
+
+
+def test_the_runtime_imports_no_scipy():
+    code = ("import sys, triqrng, triqrng.cli, triqrng.service, triqrng.stats; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    src = str(Path(triqrng.pipeline.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_startup_holds_one_channel_of_the_startup_record_at_a_time():
+    # a channel's 2^20 float64 voltages and its draws are 8 MiB each; both
+    # channels' voltages at once took the traced peak to about 26 MiB
+    tracemalloc.start()
+    try:
+        Pipeline(PipelineConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 2**20
 
 
 def _stream_digest(pipe: Pipeline, plan) -> str:

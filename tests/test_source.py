@@ -10,6 +10,7 @@ from triqrng.source import (
     lo_power_sweep,
     model_lags,
     normalized_taps,
+    simulate_channels,
     simulate_quadratures,
     spectral_factor,
 )
@@ -150,6 +151,15 @@ def test_seed_reproducibility_bit_identical():
     assert np.array_equal(a.q_samples, b.q_samples)
     c = simulate_quadratures(model, 10_000, prng_seed=100)
     assert not np.array_equal(a.i_samples, c.i_samples)
+
+
+def test_channels_simulated_one_at_a_time_are_the_frame():
+    model = NoiseModel(sigma_q2=1.0, sigma_e2=0.25, filter_taps=LOWPASS_8, sigma_e2_q=0.5)
+    frame = simulate_quadratures(model, 10_000, prng_seed=99)
+    channels = simulate_channels(model, 10_000, prng_seed=99)
+    assert np.array_equal(next(channels), frame.i_samples)  # the Q record is not made yet
+    assert np.array_equal(next(channels), frame.q_samples)
+    assert next(channels, None) is None
 
 
 def test_gaussian_deviates_pass_ks():

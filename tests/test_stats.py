@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from triqrng.bits import BitBlock
+from triqrng.config import PipelineConfig
 from triqrng.stats import (
+    BLOCK_FREQUENCY_M,
+    DEFAULT_ALPHA,
     bit_tests,
     block_frequency_test,
+    chi2_sf,
     chi2_test,
     kolmogorov_sf,
     ks_test,
     longest_run_test,
     monobit_test,
+    normal_cdf,
+    normal_quantile,
     runs_test,
 )
 
@@ -179,3 +186,71 @@ def test_bit_tests_deterministic():
     a = [r.p_value for r in bit_tests(blk)]
     b = [r.p_value for r in bit_tests(blk)]
     assert a == b
+
+
+# --- the stdlib special functions against scipy's -------------------------
+
+@pytest.mark.parametrize("dof", [*range(1, 11), 16, 63, 100, 1_000, 7_812, 10_000])
+def test_chi2_sf_matches_scipy_gammaincc(dof):
+    # 7,812 is the block-frequency dof of a 1-Mbit gate chunk
+    grid = np.geomspace(1e-3 * dof, 20 * dof, 400)
+    ref = special.gammaincc(dof / 2, grid / 2)
+    got = np.array([chi2_sf(float(stat), dof) for stat in grid])
+    shown = ref >= 1e-300
+    assert shown.sum() >= 100
+    np.testing.assert_allclose(got[shown], ref[shown], rtol=1e-10, atol=0)
+    assert np.all(got[~shown] < 1e-290)
+
+
+def test_chi2_sf_limits():
+    assert chi2_sf(0.0, 5) == 1.0
+    assert chi2_sf(1e6, 3) == 0.0
+    assert chi2_sf(1e-300, 1) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_normal_cdf_and_quantile_match_scipy():
+    z = np.linspace(-30.0, 30.0, 60_001)
+    np.testing.assert_allclose(normal_cdf(z), special.ndtr(z), rtol=1e-12, atol=0)
+    tail = np.geomspace(1e-12, 0.5, 20_000)
+    q = np.concatenate([tail, 1.0 - tail])
+    np.testing.assert_allclose(normal_quantile(q), special.ndtri(q), rtol=1e-13, atol=1e-15)
+    assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+
+
+def _scipy_gate_p_values(bits: np.ndarray, reports) -> list[float]:
+    """The four SP 800-22 p-values from each report's statistic, by scipy."""
+    n = bits.size
+    monobit, block_frequency, runs, longest_run = (r.statistic for r in reports)
+    pi = np.count_nonzero(bits) / n
+    if abs(pi - 0.5) >= 2 / math.sqrt(n):
+        runs_p = 0.0
+    else:
+        runs_p = special.erfc(abs(runs - 2 * n * pi * (1 - pi)) / (2 * math.sqrt(2 * n) * pi * (1 - pi)))
+    return [
+        special.erfc(monobit / math.sqrt(2)),
+        special.gammaincc(n // BLOCK_FREQUENCY_M / 2, block_frequency / 2),
+        runs_p,
+        special.gammaincc(6 / 2, longest_run / 2),  # K = 6 classes at 1 Mbit
+    ]
+
+
+def _gate_chunks():
+    """1,000 random 1-Mbit chunks, then one biased to 0.51, alternating bits and all ones."""
+    rng = np.random.default_rng(27)
+    for _ in range(1_000):
+        yield rng.bytes(125_000)
+    biased = (rng.random(1_000_000) < 0.51).astype(np.uint8)
+    alternating = np.tile(np.array([0, 1], dtype=np.uint8), 500_000)
+    for bits in (biased, alternating, np.ones(1_000_000, dtype=np.uint8)):
+        yield np.packbits(bits).tobytes()
+
+
+def test_gate_p_values_and_verdicts_match_scipy():
+    alphas = (DEFAULT_ALPHA, PipelineConfig().gate_alpha)
+    for chunk in _gate_chunks():
+        block = BitBlock.from_bytes(chunk)
+        reports = bit_tests(block)
+        ref = _scipy_gate_p_values(block.bits(), reports)
+        got = [r.p_value for r in reports]
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-300)
+        assert [[p >= a for p in got] for a in alphas] == [[p >= a for p in ref] for a in alphas]
