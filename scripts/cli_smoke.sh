@@ -98,18 +98,21 @@ cmp "$dir/cert.json" "$dir/cert_files.json"
 sed 's/^\[pipeline\]$/[pipeline]\npsd_segment = 4096/' "$dir/smoke.ini" > "$dir/old.ini"
 grep -q '^psd_segment = 4096$' "$dir/old.ini"
 expect_exit 2 -c "$dir/old.ini" certify
-# the runtime needs numpy alone: in a Python where `import scipy` fails,
-# certify and extract write the same bytes and test keeps its exit-code contract
-no_scipy() {
-  PYTHONPATH=src python -c 'import sys; sys.modules["scipy"] = None
+# the runtime needs numpy alone, and only serve loads the HTTP stack: in a
+# Python where `import scipy`, or `import http.server`, fails, certify and
+# extract write the same bytes and test keeps its exit-code contract
+without() {  # without MODULE ARGS...: the CLI run with ARGS where MODULE cannot be imported
+  PYTHONPATH=src python -c 'import sys; sys.modules[sys.argv.pop(1)] = None
 from triqrng.cli import main; sys.exit(main(sys.argv[1:]))' "$@"
 }
-no_scipy -c "$dir/smoke.ini" certify --json-out "$dir/cert_ns.json" > /dev/null
-cmp "$dir/cert.json" "$dir/cert_ns.json"
-no_scipy -c "$dir/smoke.ini" extract --type uniform --out "$dir/bits_ns.bin"
-cmp "$dir/bits.bin" "$dir/bits_ns.bin"
-rc_ns=0
-no_scipy test --bits "$dir/bits.bin" > "$dir/bits_ns.json" || rc_ns=$?
-[ "$rc_ns" -eq "$rc" ]
-cmp "$dir/bits.json" "$dir/bits_ns.json"
+for module in scipy http.server; do
+  without "$module" -c "$dir/smoke.ini" certify --json-out "$dir/cert_no.json" > /dev/null
+  cmp "$dir/cert.json" "$dir/cert_no.json"
+  without "$module" -c "$dir/smoke.ini" extract --type uniform --out "$dir/bits_no.bin"
+  cmp "$dir/bits.bin" "$dir/bits_no.bin"
+  rc_no=0
+  without "$module" test --bits "$dir/bits.bin" > "$dir/bits_no.json" || rc_no=$?
+  [ "$rc_no" -eq "$rc" ]
+  cmp "$dir/bits.json" "$dir/bits_no.json"
+done
 echo "CLI smoke passed"

@@ -13,8 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .source import QuadratureFrame
-
 
 @dataclass(frozen=True)
 class AdcSpec:
@@ -144,13 +142,3 @@ def quantize_channel(volts: np.ndarray, spec: AdcSpec) -> CodeBlock:
             k += x >= edges[1:].take(k)
         np.subtract(k, 1 << (spec.bits - 1), out=idx[start:start + x.size], casting="unsafe")
     return CodeBlock(codes=idx.reshape(v.shape), spec=spec, clamped=clamped)
-
-
-def quantize(frame: QuadratureFrame, spec: AdcSpec) -> tuple[CodeBlock, CodeBlock]:
-    """Digitize both quadratures of a frame."""
-    return quantize_channel(frame.i_samples, spec), quantize_channel(frame.q_samples, spec)
-
-
-def dequantize(codes: np.ndarray, spec: AdcSpec) -> np.ndarray:
-    """Code -> ideal bin center, in volts."""
-    return (np.asarray(codes, dtype=np.float64) + 0.5) * spec.bin_width

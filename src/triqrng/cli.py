@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .adc import CodeBlock, quantize
-from .config import ConfigError, PipelineConfig, default_config, load_config, write_config
+from .adc import CodeBlock, quantize_channel
+from .config import ConfigError, PipelineConfig, load_config, write_config
 from .gaussian import grid_step
 from .pipeline import StartupError, bench, certify, run_pipeline
 from .rayleigh import savitzky_golay
-from .service import serve
 from .source import simulate_quadratures, write_frame_csv, write_frame_raw
 from .stats import bit_tests, chi2_test, ks_test
 from .bits import BitBlock
@@ -51,7 +50,7 @@ def _significance(text: str) -> float:
 
 
 def _config_from(args) -> PipelineConfig:
-    return load_config(args.config) if args.config else default_config()
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def _cmd_simulate(args) -> int:
@@ -64,7 +63,8 @@ def _cmd_simulate(args) -> int:
         write_frame_raw(frame, args.out + ".i.f32", args.out + ".q.f32")
         print(f"wrote {args.out}.i.f32 / {args.out}.q.f32")
     else:  # codes
-        ci, cq = quantize(frame, cfg.adc_spec())
+        spec = cfg.adc_spec()
+        ci, cq = quantize_channel(frame.i_samples, spec), quantize_channel(frame.q_samples, spec)
         try:
             ci.tofile(args.out + ".i.i16")
             cq.tofile(args.out + ".q.i16")
@@ -169,9 +169,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .service import RandomService  # the HTTP stack loads only for the subcommand that serves
+
     cfg = _config_from(args)
     cfg = replace(cfg, listen=args.listen or cfg.listen)
-    svc = serve(cfg)
+    svc = RandomService(cfg)
+    svc.start()
     print(f"serving on {cfg.listen.rsplit(':', 1)[0]}:{svc.port} (ctrl-c to stop)")
     try:
         import time
@@ -184,7 +187,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_init_config(args) -> int:
-    write_config(default_config(), args.out)
+    write_config(PipelineConfig(), args.out)
     print(f"wrote default config to {args.out}")
     return 0
 

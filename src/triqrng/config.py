@@ -189,7 +189,3 @@ def load_config(path: str) -> PipelineConfig:
             except ValueError as err:
                 raise ConfigError(f"[{section}] {key}: {err}") from err
     return PipelineConfig(**kwargs)
-
-
-def default_config() -> PipelineConfig:
-    return PipelineConfig()

@@ -432,9 +432,9 @@ def run_pipeline(
         remaining -= n
     return PipelineRun(
         uniform=bytes(uniform),
-        gaussian_i=np.concatenate(gi) if gi else np.zeros(0, dtype=np.int64),
-        gaussian_q=np.concatenate(gq) if gq else np.zeros(0, dtype=np.int64),
-        rayleigh=np.concatenate(ray) if ray else np.zeros(0, dtype=np.float32),
+        gaussian_i=np.concatenate(gi),
+        gaussian_q=np.concatenate(gq),
+        rayleigh=np.concatenate(ray),
         reports=pipe.reports,
         raw_samples_consumed=pipe.raw_samples_consumed,
         n_out=pipe.n_out,

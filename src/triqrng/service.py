@@ -251,10 +251,3 @@ class RandomService:
         req.send_header("Content-Length", str(len(body)))
         req.end_headers()
         req.wfile.write(body)
-
-
-def serve(config: PipelineConfig) -> RandomService:
-    """Start the service; caller owns stop()."""
-    svc = RandomService(config)
-    svc.start()
-    return svc

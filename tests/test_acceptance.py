@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from triqrng.adc import AdcSpec, quantize
+from triqrng.adc import AdcSpec, quantize_channel
 from triqrng.bits import BitBlock
 from triqrng.config import PipelineConfig
 from triqrng.entropy import min_entropy_iid, min_entropy_nonlinear, solve_g_star
@@ -177,7 +177,7 @@ def test_c07_gaussian_extractor_table_pattern(preset_pipeline, preset_report):
     raw_ps = []
     for trial_seed in range(100, 2100, 100):
         frame = simulate_quadratures(model, count, trial_seed)
-        codes_i, codes_q = quantize(frame, spec)
+        codes_i, codes_q = quantize_channel(frame.i_samples, spec), quantize_channel(frame.q_samples, spec)
         for codes in (codes_i, codes_q):
             trunc = msb_truncate(codes, m_bits).astype(np.float64)
             p_ks = ks_test(trunc, "gaussian").p_value
@@ -236,7 +236,7 @@ def test_c10_savitzky_golay_improvement(preset_pipeline):
     raw_stream_ps = []
     for trial in range(50):
         frame = simulate_quadratures(model, n_pairs, 9_000 + trial)
-        ci, cq = quantize(frame, spec)
+        ci, cq = quantize_channel(frame.i_samples, spec), quantize_channel(frame.q_samples, spec)
         ti = msb_truncate(ci, m_bits).astype(np.float64) + 0.5
         tq = msb_truncate(cq, m_bits).astype(np.float64) + 0.5
         r = rayleigh_raw(ti, tq)

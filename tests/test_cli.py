@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from triqrng.cli import main
-from triqrng.config import default_config, load_config, write_config
+from triqrng.config import PipelineConfig, load_config, write_config
 
 
 @pytest.fixture(scope="module")
 def fast_ini(tmp_path_factory):
     # small certification workload so CLI runs stay quick
     path = str(tmp_path_factory.mktemp("cli") / "fast.ini")
-    cfg = default_config()
+    cfg = PipelineConfig()
     from dataclasses import replace
 
     write_config(replace(cfg, certify_samples=1 << 17, recertify_every=1 << 30), path)
@@ -24,7 +24,7 @@ def fast_ini(tmp_path_factory):
 def test_init_config_roundtrips(tmp_path):
     out = str(tmp_path / "default.ini")
     assert main(["init-config", "--out", out]) == 0
-    assert load_config(out) == default_config()
+    assert load_config(out) == PipelineConfig()
 
 
 def test_simulate_codes(tmp_path, capsys):
@@ -79,7 +79,7 @@ def test_certify_from_code_files(fast_ini, tmp_path, capsys):
 def test_certify_from_the_simulated_records_equals_certify(tmp_path, capsys):
     # the startup record and its LO-off background, written as code files,
     # certify to exactly the JSON of the simulated route
-    cfg = replace(default_config(), certify_samples=1 << 16, prng_seed=11)
+    cfg = replace(PipelineConfig(), certify_samples=1 << 16, prng_seed=11)
     ini, bg_ini = str(tmp_path / "sig.ini"), str(tmp_path / "bg.ini")
     write_config(cfg, ini)
     write_config(replace(cfg, lo_power_mw=0.0, prng_seed=cfg.prng_seed + 10_000), bg_ini)
@@ -111,7 +111,7 @@ def test_certify_rejects_codes_beyond_the_adc_depth(tmp_path, capsys):
     from dataclasses import replace
 
     ini = str(tmp_path / "12bit.ini")
-    write_config(replace(default_config(), adc_bits=12), ini)
+    write_config(replace(PipelineConfig(), adc_bits=12), ini)
     path = str(tmp_path / "wide.i16")
     np.array([0, 4000], dtype="<i2").tofile(path)
     rc = main(["-c", ini, "certify", "--i", path, "--q", path, "--bg-i", path, "--bg-q", path])
@@ -123,7 +123,7 @@ def test_simulate_refuses_codes_deeper_than_16_bits(tmp_path, capsys):
     from dataclasses import replace
 
     ini = str(tmp_path / "18bit.ini")
-    write_config(replace(default_config(), adc_bits=18, block_n=1152, block_m=1024), ini)
+    write_config(replace(PipelineConfig(), adc_bits=18, block_n=1152, block_m=1024), ini)
     prefix = str(tmp_path / "rec")
     assert main(["-c", ini, "simulate", "-n", "64", "--out", prefix, "--format", "codes"]) == 2
     assert "int16" in capsys.readouterr().err
@@ -175,7 +175,7 @@ def test_extract_rayleigh_histogram_mode(fast_ini, tmp_path):
 
 def test_extract_histogram_mode_refuses_a_window_wider_than_its_bins(tmp_path, capsys, monkeypatch):
     ini = str(tmp_path / "wide.ini")
-    write_config(replace(default_config(), block_n=8192, block_m=4096, sg_window=301), ini)
+    write_config(replace(PipelineConfig(), block_n=8192, block_m=4096, sg_window=301), ini)
     started = []
     monkeypatch.setattr("triqrng.cli.run_pipeline", lambda *a, **kw: started.append(a))
     out = str(tmp_path / "hist.csv")
@@ -203,7 +203,7 @@ def test_extract_rejects_a_geometry_the_startup_certification_refuses(fast_ini, 
 ])
 def test_extract_rejects_a_bad_config_file_with_status_2(tmp_path, capsys, old, new, key):
     ini = tmp_path / "bad.ini"
-    write_config(default_config(), str(ini))
+    write_config(PipelineConfig(), str(ini))
     text = ini.read_text()
     assert old in text
     ini.write_text(text.replace(old, new))
@@ -314,7 +314,7 @@ def test_test_refuses_a_partial_float32_sample_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, listen", [
     pytest.param(["--listen", "127.0.0.1:8123"], "127.0.0.1:8123", id="flag"),
-    pytest.param([], default_config().listen, id="config"),
+    pytest.param([], PipelineConfig().listen, id="config"),
 ])
 def test_serve_listens_where_the_flag_or_config_says(monkeypatch, capsys, argv, listen):
     seen = {}
@@ -322,19 +322,21 @@ def test_serve_listens_where_the_flag_or_config_says(monkeypatch, capsys, argv, 
     class FakeService:
         port = 8123
 
+        def __init__(self, cfg):
+            seen["listen"] = cfg.listen
+
+        def start(self):
+            seen["started"] = True
+
         def stop(self):
             seen["stopped"] = True
-
-    def fake_serve(cfg):
-        seen["listen"] = cfg.listen
-        return FakeService()
 
     def interrupt(seconds):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("triqrng.cli.serve", fake_serve)
+    monkeypatch.setattr("triqrng.service.RandomService", FakeService)
     monkeypatch.setattr("time.sleep", interrupt)
     monkeypatch.setenv("TRIQRNG_LISTEN", "127.0.0.1:9")  # no longer read
     assert main(["serve", *argv]) == 0
     capsys.readouterr()
-    assert seen == {"listen": listen, "stopped": True}
+    assert seen == {"listen": listen, "started": True, "stopped": True}

@@ -4,13 +4,13 @@ from dataclasses import fields
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from triqrng.config import ConfigError, PipelineConfig, default_config, load_config, write_config
+from triqrng.config import ConfigError, PipelineConfig, load_config, write_config
 from triqrng.source import normalized_taps
 
 
 def test_roundtrip(tmp_path):
     path = str(tmp_path / "cfg.ini")
-    cfg = default_config()
+    cfg = PipelineConfig()
     write_config(cfg, path)
     loaded = load_config(path)
     assert loaded == cfg
@@ -101,7 +101,7 @@ def test_block_sizes_must_be_whole_bytes():
 
 
 def test_preset_taps_are_normalized():
-    cfg = default_config()
+    cfg = PipelineConfig()
     total = sum(t * t for t in cfg.filter_taps)
     assert abs(total - 1.0) < 1e-9
     cfg.noise_model()  # must validate cleanly
@@ -163,7 +163,7 @@ def test_every_field_round_trips_through_the_file(tmp_path, cfg):
 
 def _default_ini(tmp_path) -> str:
     path = tmp_path / "default.ini"
-    write_config(default_config(), str(path))
+    write_config(PipelineConfig(), str(path))
     return path.read_text()
 
 
@@ -202,4 +202,4 @@ def test_a_bad_file_is_refused_when_it_is_loaded(tmp_path, edit, key):
 def test_sigma_q2_is_responsivity_times_lo_power():
     cfg = PipelineConfig(lo_power_mw=2.0, responsivity=3.0)
     assert cfg.noise_model().sigma_q2 == 6.0
-    assert default_config().noise_model().sigma_q2 == 5.324327e-06
+    assert PipelineConfig().noise_model().sigma_q2 == 5.324327e-06

@@ -614,13 +614,31 @@ def test_importing_the_pipeline_starts_no_thread():
     assert out.stdout.strip() == "1"
 
 
-def test_the_runtime_imports_no_scipy():
-    code = ("import sys, triqrng, triqrng.cli, triqrng.service, triqrng.stats; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    src = str(Path(triqrng.pipeline.__file__).parents[1])
+PACKAGE_DIR = Path(triqrng.pipeline.__file__).parent
+SUBMODULES = tuple(sorted(f"triqrng.{p.stem}" for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"))
+HTTP_SERVER = ("http.server", "socketserver")
+
+
+@pytest.mark.parametrize("imports, absent, present", [
+    pytest.param("triqrng, triqrng.cli, triqrng.service, triqrng.stats", ("scipy",), (), id="scipy"),
+    pytest.param("triqrng", SUBMODULES, (), id="package"),
+    pytest.param("triqrng.pipeline", HTTP_SERVER, (), id="pipeline"),
+    pytest.param("triqrng.cli", HTTP_SERVER, (), id="cli"),
+    pytest.param("triqrng.service", (), HTTP_SERVER, id="service"),
+])
+def test_the_runtime_imports_no_scipy(imports, absent, present):
+    # each entry point loads only the modules it runs: scipy is the tests'
+    # oracle, and the HTTP server loads only with the service
+    code = f"import json, sys, {imports}; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
+    loaded = json.loads(out.stdout)
+
+    def loads(name):
+        return any(m == name or m.startswith(name + ".") for m in loaded)
+
+    assert [name for name in absent if loads(name)] == []
+    assert all(loads(name) for name in present)
 
 
 def test_startup_holds_one_channel_of_the_startup_record_at_a_time():
