@@ -23,6 +23,22 @@ cli -c "$dir/smoke.ini" simulate -n 65536 --format raw --out "$dir/v" > /dev/nul
 cli -c "$dir/smoke.ini" simulate -n 65536 --format raw --out "$dir/v2" > /dev/null
 cmp "$dir/v.i.f32" "$dir/v2.i.f32"
 cmp "$dir/v.q.f32" "$dir/v2.q.f32"
+# the record's CSV goes through the CLI's one CSV writer: the same bytes from
+# fresh processes, LF line ends, and a plain float in every I and Q field
+cli -c "$dir/smoke.ini" simulate -n 4096 --format csv --out "$dir/v" > /dev/null
+cli -c "$dir/smoke.ini" simulate -n 4096 --format csv --out "$dir/v2" > /dev/null
+cmp "$dir/v.csv" "$dir/v2.csv"
+python - "$dir/v.csv" <<'PY'
+import sys
+data = open(sys.argv[1], "rb").read()
+assert b"\r" not in data
+lines = data.decode().split("\n")
+assert lines.pop() == "" and len(lines) == 4097 and lines[0] == "index,I,Q", lines[:2]
+for k, line in enumerate(lines[1:]):
+    index, i, q = line.split(",")
+    assert int(index) == k
+    float(i), float(q)
+PY
 sed 's/^filter_taps = .*/filter_taps = 0.800000031835, 0.480000019101, 0.28800001146, 0.172800006876, 0.103680004126, 0.0622080024755, 0.0373248014853, 0.0223948808912, 0.0134369285347, 0.00806215712082, 0.00483729427249, 0.0029023765635, 0.0017414259381, 0.00104485556286, 0.000626913337715, 0.000376148002629/' \
   "$dir/smoke.ini" > "$dir/taps16.ini"
 grep -q '^filter_taps = 0.800000031835, .*, 0.000376148002629$' "$dir/taps16.ini"

@@ -21,7 +21,7 @@ from .config import ConfigError, PipelineConfig, load_config, write_config
 from .gaussian import grid_step
 from .pipeline import StartupError, bench, certify, run_pipeline
 from .rayleigh import savitzky_golay
-from .source import simulate_quadratures, write_frame_csv, write_frame_raw
+from .source import simulate_quadratures
 from .stats import bit_tests, chi2_test, ks_test
 from .bits import BitBlock
 
@@ -57,10 +57,12 @@ def _cmd_simulate(args) -> int:
     cfg = _config_from(args)
     frame = simulate_quadratures(cfg.noise_model(), args.count, cfg.prng_seed)
     if args.format == "csv":
-        write_frame_csv(frame, args.out + ".csv")
+        with open(args.out + ".csv", "wb") as fh:
+            fh.write(_csv_bytes(np.arange(args.count), frame.i_samples, frame.q_samples, header="index,I,Q"))
         print(f"wrote {args.out}.csv")
     elif args.format == "raw":
-        write_frame_raw(frame, args.out + ".i.f32", args.out + ".q.f32")
+        frame.i_samples.astype("<f4").tofile(args.out + ".i.f32")
+        frame.q_samples.astype("<f4").tofile(args.out + ".q.f32")
         print(f"wrote {args.out}.i.f32 / {args.out}.q.f32")
     else:  # codes
         spec = cfg.adc_spec()

@@ -73,7 +73,10 @@ class PipelineConfig:
 
     def noise_model(self) -> NoiseModel:
         """The source model; its quantum variance is responsivity * lo_power_mw."""
-        return NoiseModel.at_lo_power(self.lo_power_mw, self.responsivity, self.sigma_e2, self.filter_taps)
+        for name in ("lo_power_mw", "responsivity"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        return NoiseModel(self.responsivity * self.lo_power_mw, self.sigma_e2, self.filter_taps)
 
     def adc_spec(self) -> AdcSpec:
         return AdcSpec(
@@ -84,6 +87,7 @@ class PipelineConfig:
         )
 
     def __post_init__(self) -> None:
+        self.filter_taps = tuple(map(float, self.filter_taps))  # one form, whatever sequence was given
         for f in fields(self):  # a NaN would pass every range check below
             value = getattr(self, f.name)
             numbers = value if isinstance(value, tuple) else (value,)

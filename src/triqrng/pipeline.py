@@ -118,7 +118,7 @@ def _startup_windows(config: PipelineConfig, record: CodeRecord | None = None,
     A record not given is simulated from the config: the startup record at
     `prng_seed`, the background with the LO off at `prng_seed + 10_000`.
     """
-    bg_model = replace(config.noise_model(), sigma_q2=0.0, lo_power_mw=0.0, responsivity=None)
+    bg_model = replace(config.noise_model(), sigma_q2=0.0)
     bg_windows = _lag_windows(config, bg_model, config.prng_seed + 10_000, background)
     windows = _lag_windows(config, config.noise_model(), config.prng_seed, record)
     return windows, {channel: window.autocovariance() for channel, window in bg_windows.items()}

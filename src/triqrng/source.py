@@ -14,7 +14,6 @@ streams.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator
@@ -22,7 +21,6 @@ from typing import Iterator
 import numpy as np
 
 TAP_NORM_TOL = 1e-6
-LINEARITY_TOL = 1e-9
 FACTOR_TOL = 1e-12  # largest lag error of a spectral factor, relative to gamma_0
 FACTOR_ITERATIONS = 100  # Newton steps; random taps of up to 64 need at most 14
 
@@ -99,8 +97,6 @@ class NoiseModel:
     sigma_q2      quantum (vacuum/shot) variance per quadrature, V^2
     sigma_e2      classical excess-noise variance, V^2
     filter_taps   unit-energy FIR taps modeling detector bandwidth
-    lo_power_mw   local-oscillator power per diode, mW
-    responsivity  V^2 of quantum variance per mW of LO power
     sigma_e2_q    optional per-channel override for the Q excess noise
     sat_clip_v    optional soft-clip level (volts); None disables saturation
     """
@@ -108,8 +104,6 @@ class NoiseModel:
     sigma_q2: float
     sigma_e2: float
     filter_taps: tuple[float, ...] = (1.0,)
-    lo_power_mw: float = 1.0
-    responsivity: float | None = None
     sigma_e2_q: float | None = None
     sat_clip_v: float | None = None
 
@@ -127,14 +121,6 @@ class NoiseModel:
             raise ValueError(
                 f"filter_taps must have unit energy (sum of squares = 1), got {energy:.8f}"
             )
-        if self.responsivity is not None:
-            expected = self.responsivity * self.lo_power_mw
-            scale = max(abs(expected), abs(self.sigma_q2), 1e-300)
-            if abs(expected - self.sigma_q2) > LINEARITY_TOL * scale:
-                raise ValueError(
-                    "sigma_q2 must equal responsivity * lo_power_mw in the linear regime "
-                    f"({self.sigma_q2} != {expected})"
-                )
         self.factors()  # refuse taps whose factor cannot be verified
 
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -143,27 +129,6 @@ class NoiseModel:
         e_q = self.sigma_e2 if self.sigma_e2_q is None else self.sigma_e2_q
         return (spectral_factor(taps, self.sigma_q2, self.sigma_e2),
                 spectral_factor(taps, self.sigma_q2, e_q))
-
-    @classmethod
-    def at_lo_power(
-        cls,
-        lo_power_mw: float,
-        responsivity: float,
-        sigma_e2: float,
-        filter_taps,
-        **kw,
-    ) -> "NoiseModel":
-        """Build a model on the linear shot-noise slope of the LO sweep."""
-        if lo_power_mw < 0:
-            raise ValueError("LO power must be >= 0")
-        return cls(
-            sigma_q2=responsivity * lo_power_mw,
-            sigma_e2=sigma_e2,
-            filter_taps=tuple(float(t) for t in np.asarray(filter_taps, dtype=float)),
-            lo_power_mw=lo_power_mw,
-            responsivity=responsivity,
-            **kw,
-        )
 
 
 @dataclass
@@ -232,42 +197,28 @@ def simulate_quadratures(model: NoiseModel, count: int, prng_seed: int) -> Quadr
 
 def lo_power_sweep(
     model: NoiseModel,
+    responsivity: float,
     powers,
     samples_per_point: int,
     prng_seed: int,
 ) -> list[tuple[float, float, float]]:
     """Sweep LO power and report (power, total variance, excess-only variance).
 
-    The quantum variance at each point is responsivity * power; the excess
-    record stands in for the LO-blocked background measurement, so callers
-    can fit (total - excess) against power.
+    The quantum variance at each point is responsivity * power, in place of
+    the model's sigma_q2; the excess record (sigma_q2 = 0) stands in for the
+    LO-blocked background measurement, so callers can fit (total - excess)
+    against power.
     """
     powers = list(powers)
     if not powers:
         raise ValueError("powers must be non-empty")
     if any(p < 0 for p in powers):
         raise ValueError("negative LO power")
-    if model.responsivity is None:
-        raise ValueError("model must define a responsivity for a power sweep")
     out = []
+    m_bg = replace(model, sigma_q2=0.0)
     for k, p in enumerate(powers):
-        m_tot = replace(model, sigma_q2=model.responsivity * p, lo_power_mw=p)
-        m_bg = replace(model, sigma_q2=0.0, lo_power_mw=0.0, responsivity=None)
+        m_tot = replace(model, sigma_q2=responsivity * p)
         tot = simulate_quadratures(m_tot, samples_per_point, prng_seed + 2 * k)
         bg = simulate_quadratures(m_bg, samples_per_point, prng_seed + 2 * k + 1)
         out.append((float(p), float(np.var(tot.i_samples)), float(np.var(bg.i_samples))))
     return out
-
-
-def write_frame_raw(frame: QuadratureFrame, i_path: str, q_path: str) -> None:
-    """Dump each channel as little-endian float32."""
-    frame.i_samples.astype("<f4").tofile(i_path)
-    frame.q_samples.astype("<f4").tofile(q_path)
-
-
-def write_frame_csv(frame: QuadratureFrame, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "I", "Q"])
-        for k, (i, q) in enumerate(zip(frame.i_samples, frame.q_samples)):
-            w.writerow([k, repr(i), repr(q)])

@@ -57,25 +57,6 @@ def toeplitz_extract(block: BitBlock, seed: ToeplitzSeed, m: int) -> BitBlock:
     return BitBlock.from_bits(((rows @ x) & 1).astype(np.uint8))
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _int_to_bits(value: int, nbits: int) -> np.ndarray:
-    raw = value.to_bytes((nbits + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:nbits]
-
-
-def clmul(a: int, b: int) -> int:
-    """Carryless (GF(2)[t]) product of two bit polynomials."""
-    out = 0
-    while b:
-        low = b & -b
-        out ^= a << (low.bit_length() - 1)
-        b ^= low
-    return out
-
-
 class ToeplitzExtractor:
     """A seed expanded once for high-rate batch extraction.
 
@@ -175,9 +156,10 @@ def dodis_extract(x: BitBlock, y: BitBlock, m: int) -> BitBlock:
         raise ValueError(f"n={n} is not an admissible length (prime with 2 a primitive root)")
     if not 0 < m <= n:
         raise ValueError("need 0 < m <= n")
-    prod = clmul(_bits_to_int(x.bits()), _bits_to_int(y.bits()))
-    folded = (prod & ((1 << n) - 1)) ^ (prod >> n)  # t^n == 1
-    return BitBlock.from_bits(_int_to_bits(folded & ((1 << m) - 1), m))
+    # integer coefficient sums of at most n, exact in float64; their parities are the GF(2) product
+    prod = np.convolve(x.bits().astype(np.float64), y.bits().astype(np.float64))
+    prod[: n - 1] += prod[n:]  # t^n == 1
+    return BitBlock.from_bits(prod[:m].astype(np.int64) & 1)
 
 
 def seed_chain(bits: np.ndarray, n: int, m: int) -> ToeplitzSeed:

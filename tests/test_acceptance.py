@@ -264,7 +264,7 @@ def test_c10_savitzky_golay_improvement(preset_pipeline):
 def test_c11_lo_sweep_regression(preset_pipeline):
     model = preset_pipeline.model
     powers = np.linspace(0.0, 4.13, 10)
-    rows = lo_power_sweep(model, powers, 200_000, prng_seed=11)
+    rows = lo_power_sweep(model, preset_pipeline.config.responsivity, powers, 200_000, prng_seed=11)
     quantum = np.array([total - excess for _, total, excess in rows])
     r = float(np.corrcoef(powers, quantum)[0, 1])
     assert r >= 0.99

@@ -8,6 +8,7 @@ import pytest
 
 from triqrng.cli import main
 from triqrng.config import PipelineConfig, load_config, write_config
+from triqrng.source import simulate_quadratures
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +40,18 @@ def test_simulate_raw_and_csv(tmp_path):
     assert main(["simulate", "-n", "1024", "--out", prefix, "--format", "raw"]) == 0
     assert np.fromfile(prefix + ".i.f32", dtype="<f4").size == 1024
     assert main(["simulate", "-n", "64", "--out", prefix, "--format", "csv"]) == 0
-    lines = Path(prefix + ".csv").read_text().splitlines()
+    data = Path(prefix + ".csv").read_bytes()
+    assert b"\r" not in data  # LF line ends, as extract writes its CSVs
+    lines = data.decode().splitlines()
     assert lines[0] == "index,I,Q"
     assert len(lines) == 65
+    # every value is a plain float that reads back to the simulated voltage exactly
+    cfg = PipelineConfig()
+    frame = simulate_quadratures(cfg.noise_model(), 64, cfg.prng_seed)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(k) for k, _, _ in rows] == list(range(64))
+    assert [float(i) for _, i, _ in rows] == frame.i_samples.tolist()
+    assert [float(q) for _, _, q in rows] == frame.q_samples.tolist()
 
 
 def test_certify_emits_json(fast_ini, tmp_path, capsys):

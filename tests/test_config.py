@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -53,7 +54,7 @@ def test_validation():
     ("gate_alpha", 5.0), ("gate_alpha", 0.0), ("gate_alpha", 1.0),
     ("sigma_e2", math.nan), ("adc_range_v", math.nan), ("lo_power_mw", math.nan),
     ("request_timeout_s", math.nan), ("gate_alpha", math.nan), ("responsivity", math.inf),
-    ("filter_taps", (1.0, math.nan)),
+    ("filter_taps", (1.0, math.nan)), ("lo_power_mw", -1.0), ("responsivity", -1.0),
 ])
 def test_values_that_fail_later_are_rejected_at_load(field, value):
     # left to run, each of these fails or misbehaves only inside the
@@ -197,6 +198,23 @@ def test_a_bad_file_is_refused_when_it_is_loaded(tmp_path, edit, key):
     assert path.read_text() != text
     with pytest.raises(ValueError, match=key):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_taps_built_in_code_are_stored_as_floats_and_round_trip(tmp_path, kind):
+    # taps given as a list or an array take the one form a file gives back
+    taps = normalized_taps([1.0, 0.97, 0.40])
+    cfg = PipelineConfig(filter_taps=kind(taps))
+    assert cfg.filter_taps == taps and all(type(t) is float for t in cfg.filter_taps)
+    path = str(tmp_path / "cfg.ini")
+    write_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_a_nan_tap_is_refused_as_not_finite_whatever_the_sequence(kind):
+    with pytest.raises(ConfigError, match="filter_taps must be finite"):
+        PipelineConfig(filter_taps=kind([1.0, math.nan]))
 
 
 def test_sigma_q2_is_responsivity_times_lo_power():

@@ -270,7 +270,7 @@ def test_reports_log_accumulates():
 def _lower_lo_power(pipe: Pipeline, factor: float) -> None:
     # the stream model drops its LO power mid-run; the background is unchanged
     m = pipe.model
-    pipe.model = replace(m, sigma_q2=m.sigma_q2 / factor, lo_power_mw=m.lo_power_mw / factor)
+    pipe.model = replace(m, sigma_q2=m.sigma_q2 / factor)
 
 
 def _budget(reports, cfg) -> int:
@@ -338,7 +338,7 @@ def test_stream_below_its_background_stops_uniform_and_gaussian():
     pipe = Pipeline(cfg)
     assert pipe.process_blocks(512).uniform
     m = pipe.model
-    pipe.model = replace(m, sigma_q2=0.0, lo_power_mw=0.0, responsivity=None, sigma_e2=m.sigma_e2 / 2)
+    pipe.model = replace(m, sigma_q2=0.0, sigma_e2=m.sigma_e2 / 2)
     batch = pipe.process_blocks(1024)  # 98,304 samples: the window holds this batch alone
     assert batch.uniform == b"" and batch.gaussian_i.size == 0 and batch.rayleigh.size > 0
     assert set(pipe.stopped) == {"uniform", "gaussian"}

@@ -282,7 +282,7 @@ def test_lo_power_drop_stops_uniform_service_but_not_shaped_output():
         # halve the LO power of the stream: the trailing windows of the
         # extracted codes fall below the budget for block_m within a few batches
         m = svc.pipeline.model
-        svc.pipeline.model = replace(m, sigma_q2=m.sigma_q2 / 2, lo_power_mw=m.lo_power_mw / 2)
+        svc.pipeline.model = replace(m, sigma_q2=m.sigma_q2 / 2)
         deadline = time.time() + 60
         status, body = 200, b""
         while status == 200 and time.time() < deadline:

@@ -179,50 +179,46 @@ def test_input_validation():
     model = NoiseModel(sigma_q2=1.0, sigma_e2=0.0)
     with pytest.raises(ValueError):
         simulate_quadratures(model, 0, prng_seed=1)
-    with pytest.raises(ValueError):
-        NoiseModel(sigma_q2=2.0, sigma_e2=0.0, lo_power_mw=1.0, responsivity=1.0)
 
 
 def test_lo_sweep_zero_power_has_no_quantum_component():
-    model = NoiseModel.at_lo_power(1.0, responsivity=0.5, sigma_e2=0.2, filter_taps=(1.0,))
-    ((p, total, excess),) = lo_power_sweep(model, [0.0], 100_000, prng_seed=6)
+    model = NoiseModel(sigma_q2=0.5, sigma_e2=0.2, filter_taps=(1.0,))
+    ((p, total, excess),) = lo_power_sweep(model, 0.5, [0.0], 100_000, prng_seed=6)
     assert p == 0.0
     assert abs(total - excess) < 0.02 * excess + 1e-12
 
 
 def test_lo_sweep_linearity_ratio():
-    model = NoiseModel.at_lo_power(1.0, responsivity=0.7, sigma_e2=0.0, filter_taps=(1.0,))
-    rows = lo_power_sweep(model, [1.0, 2.0, 4.0], 400_000, prng_seed=7)
+    model = NoiseModel(sigma_q2=0.7, sigma_e2=0.0, filter_taps=(1.0,))
+    rows = lo_power_sweep(model, 0.7, [1.0, 2.0, 4.0], 400_000, prng_seed=7)
     v1, v2, v4 = (total - excess for _, total, excess in rows)
     assert abs(v2 / v1 - 2.0) < 0.05
     assert abs(v4 / v1 - 4.0) < 0.1
 
 
 def test_lo_sweep_linear_fit_r():
-    model = NoiseModel.at_lo_power(4.13, responsivity=1.3e-6, sigma_e2=3.3e-6, filter_taps=(1.0,))
+    model = NoiseModel(sigma_q2=1.3e-6 * 4.13, sigma_e2=3.3e-6, filter_taps=(1.0,))
     powers = np.linspace(0.0, 4.13, 10)
-    rows = lo_power_sweep(model, powers, 200_000, prng_seed=8)
+    rows = lo_power_sweep(model, 1.3e-6, powers, 200_000, prng_seed=8)
     y = np.array([total - excess for _, total, excess in rows])
     r = np.corrcoef(powers, y)[0, 1]
     assert r >= 0.99
 
 
 def test_lo_sweep_rejects_negative_power():
-    model = NoiseModel.at_lo_power(1.0, responsivity=1.0, sigma_e2=0.0, filter_taps=(1.0,))
+    model = NoiseModel(sigma_q2=1.0, sigma_e2=0.0, filter_taps=(1.0,))
     with pytest.raises(ValueError):
-        lo_power_sweep(model, [-1.0], 1000, prng_seed=9)
+        lo_power_sweep(model, 1.0, [-1.0], 1000, prng_seed=9)
     with pytest.raises(ValueError):
-        lo_power_sweep(model, [], 1000, prng_seed=9)
+        lo_power_sweep(model, 1.0, [], 1000, prng_seed=9)
 
 
 def test_saturation_soft_clip_bends_the_sweep():
     resp, sat = 1.0, 2.0
-    base = NoiseModel.at_lo_power(1.0, responsivity=resp, sigma_e2=0.0, filter_taps=(1.0,))
-    clipped = NoiseModel.at_lo_power(
-        1.0, responsivity=resp, sigma_e2=0.0, filter_taps=(1.0,), sat_clip_v=sat
-    )
-    rows_lin = lo_power_sweep(base, [8.0], 200_000, prng_seed=10)
-    rows_sat = lo_power_sweep(clipped, [8.0], 200_000, prng_seed=10)
+    base = NoiseModel(sigma_q2=resp, sigma_e2=0.0, filter_taps=(1.0,))
+    clipped = NoiseModel(sigma_q2=resp, sigma_e2=0.0, filter_taps=(1.0,), sat_clip_v=sat)
+    rows_lin = lo_power_sweep(base, resp, [8.0], 200_000, prng_seed=10)
+    rows_sat = lo_power_sweep(clipped, resp, [8.0], 200_000, prng_seed=10)
     # far beyond the clip level the measured variance must fall below linear
     assert rows_sat[0][1] < 0.8 * rows_lin[0][1]
 
