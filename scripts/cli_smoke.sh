@@ -95,6 +95,16 @@ sed 's/^block_m = .*/block_m = 1248/' "$dir/smoke.ini" > "$dir/greedy.ini"
 expect_exit 2 -c "$dir/greedy.ini" extract --type uniform --out "$dir/greedy.bin"
 sed 's/^block_n = /blok_n = /' "$dir/smoke.ini" > "$dir/misspelt.ini"
 expect_exit 2 -c "$dir/misspelt.ini" extract --type uniform --out "$dir/misspelt.bin"
+# every ADC code is an int16 and the one-step bin lookup needs dnl_max <= 0.45:
+# a deeper ADC (1632 bits = 96 whole 17-bit codes) or a wider DNL bound is refused at load
+sed -e 's/^bits = .*/bits = 17/' -e 's/^block_n = .*/block_n = 1632/' "$dir/smoke.ini" > "$dir/bits17.ini"
+grep -q '^bits = 17$' "$dir/bits17.ini"
+expect_exit 2 -c "$dir/bits17.ini" extract --type uniform --out "$dir/bits17.bin"
+test ! -e "$dir/bits17.bin"
+sed 's/^dnl_max = .*/dnl_max = 0.46/' "$dir/smoke.ini" > "$dir/dnl46.ini"
+grep -q '^dnl_max = 0.46$' "$dir/dnl46.ini"
+expect_exit 2 -c "$dir/dnl46.ini" simulate -n 4096 --format codes --out "$dir/dnl46"
+test ! -e "$dir/dnl46.i.i16"
 # certification is a function of the config alone: a fresh process writes the same JSON
 cli -c "$dir/smoke.ini" certify --json-out "$dir/cert.json" > /dev/null
 cli -c "$dir/smoke.ini" certify --json-out "$dir/cert2.json" > /dev/null
@@ -110,6 +120,10 @@ cli -c "$dir/lo_off.ini" simulate -n "$samples" --format codes --out "$dir/bg" >
 cli -c "$dir/smoke.ini" certify --i "$dir/sig.i.i16" --q "$dir/sig.q.i16" \
   --bg-i "$dir/bg.i.i16" --bg-q "$dir/bg.q.i16" --json-out "$dir/cert_files.json" > /dev/null
 cmp "$dir/cert.json" "$dir/cert_files.json"
+# a code file that ends in part of a code is refused, not read short
+{ cat "$dir/sig.i.i16"; printf '\0'; } > "$dir/odd.i16"
+expect_exit 2 -c "$dir/smoke.ini" certify --i "$dir/odd.i16" --q "$dir/sig.q.i16" \
+  --bg-i "$dir/bg.i.i16" --bg-q "$dir/bg.q.i16"
 # a key the config no longer has (the Welch segment length) is refused
 sed 's/^\[pipeline\]$/[pipeline]\npsd_segment = 4096/' "$dir/smoke.ini" > "$dir/old.ini"
 grep -q '^psd_segment = 4096$' "$dir/old.ini"

@@ -1,17 +1,22 @@
 """Digitizer model: voltage-to-code mapping with bounded DNL.
 
-Codes are offset binary internally and exposed as signed two's-complement
-integers in [-2^(N-1), 2^(N-1)-1]. Differential nonlinearity is modeled as
-deterministic bounded uniform jitter on the bin edges; dnl_max < 0.5
-guarantees strictly increasing edges.
+An N-bit ADC, 4 <= N <= 16, has offset-binary codes internally and
+exposes them as signed two's-complement integers in
+[-2^(N-1), 2^(N-1)-1], held as int16 in memory and in code files.
+Differential nonlinearity is modeled as deterministic bounded uniform
+jitter on the bin edges; dnl_max <= MAX_DNL keeps the edges strictly
+increasing and leaves the quantizer's one-step guess room to spare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+
+MAX_DNL = 0.45  # widest DNL bound: quantize_channel's one-step guess keeps 0.05 bin of room
 
 
 @dataclass(frozen=True)
@@ -24,12 +29,12 @@ class AdcSpec:
     dnl_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 4 <= self.bits <= 24:
-            raise ValueError("bits must be in [4, 24]")
+        if not 4 <= self.bits <= 16:
+            raise ValueError("bits must be in [4, 16]: codes are int16")
         if self.range_v <= 0:
             raise ValueError("range_v must be positive")
-        if not 0 <= self.dnl_max < 0.5:
-            raise ValueError("dnl_max must be in [0, 0.5): 0.5 or more can invert bins")
+        if not 0 <= self.dnl_max <= MAX_DNL:
+            raise ValueError(f"dnl_max must be in [0, {MAX_DNL}]")
 
     @property
     def bin_width(self) -> float:
@@ -64,17 +69,16 @@ class CodeBlock:
         return self.codes.size
 
     def tofile(self, path: str) -> None:
-        """Write as little-endian signed 16-bit raw; deeper codes do not fit."""
-        if self.spec.bits > 16:
-            raise ValueError(f"{self.spec.bits}-bit codes do not fit the int16 file format")
+        """Write as little-endian signed 16-bit raw."""
         self.codes.astype("<i2").tofile(path)
 
     @classmethod
     def fromfile(cls, path: str, spec: AdcSpec) -> CodeBlock:
-        """Read a tofile() record; codes outside spec's range are rejected."""
-        if spec.bits > 16:
-            raise ValueError(f"{spec.bits}-bit codes do not fit the int16 file format")
-        return cls(codes=np.fromfile(path, dtype="<i2").astype(np.int32), spec=spec)
+        """Read a tofile() record; a partial code or codes outside spec's range are rejected."""
+        data = Path(path).read_bytes()
+        if len(data) % 2:
+            raise ValueError(f"{path}: {len(data)} bytes is not a whole number of int16 codes")
+        return cls(codes=np.frombuffer(data, dtype="<i2"), spec=spec)
 
 
 def dnl_profile(spec: AdcSpec) -> np.ndarray:
@@ -97,32 +101,30 @@ def _edges(spec: AdcSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _padded_edges(spec: AdcSpec) -> np.ndarray:
-    """Lower edge of every offset bin: -inf for bin 0, then _edges, then a NaN
-    sentinel at 2^bits that no comparison ever passes."""
-    return np.concatenate(([-np.inf], _edges(spec), [np.nan]))
+def _upper_edges(spec: AdcSpec) -> np.ndarray:
+    """Upper edge of every offset bin: _edges, then a NaN sentinel for the top
+    bin that no comparison ever passes."""
+    return np.append(_edges(spec), np.nan)
 
 
 QUANTIZE_CHUNK = 1 << 16  # samples per pass; one pass per default channel measured fastest on the source worker
-ONE_STEP_DNL = 0.45  # DNL bounds up to this leave the one-step guess of quantize_channel ample room
 
 
 def quantize_channel(volts: np.ndarray, spec: AdcSpec) -> CodeBlock:
-    """Map one voltage record to codes; out-of-range values clamp, NaN is rejected.
+    """Map one voltage record to int16 codes; out-of-range values clamp, NaN is rejected.
 
     The offset code is the number of bin edges <= v. Every edge lies within
     dnl_max bin of its ideal place, so with u = (v + R/2)/dx the code is in
     (u - 1 - dnl_max, u + dnl_max]; for dnl_max < 1/2 that holds only
     floor(u - 1/2) and the code above it, and one comparison with the edge
-    above the guess settles it. The guess's rounding error (about 1e-8 bin
-    at 24 bits) stays far inside the 1/2 - dnl_max of room while dnl_max <=
-    ONE_STEP_DNL; a wider DNL bound searches the edges instead.
+    above the guess settles it. The guess's rounding error (below 1e-10 bin
+    at 16 bits) stays far inside the 1/2 - MAX_DNL = 0.05 bin of room.
     """
     v = np.asarray(volts, dtype=np.float64)
     flat = v.reshape(-1)
-    edges = _padded_edges(spec)
+    edges = _upper_edges(spec)
     half = spec.range_v / 2
-    idx = np.empty(flat.size, dtype=np.int32)
+    idx = np.empty(flat.size, dtype=np.int16)
     clamped = 0
     for start in range(0, flat.size, QUANTIZE_CHUNK):
         x = flat[start:start + QUANTIZE_CHUNK]
@@ -133,12 +135,9 @@ def quantize_channel(volts: np.ndarray, spec: AdcSpec) -> CodeBlock:
         if lo < -half or hi >= half:
             clamped += int(np.count_nonzero(x < -half) + np.count_nonzero(x >= half))
             inside = np.clip(x, -half, np.nextafter(half, 0.0))
-        if spec.dnl_max > ONE_STEP_DNL:
-            k = np.searchsorted(edges[1:-1], x, side="right")
-        else:
-            guess = inside + (half - spec.bin_width / 2)
-            guess *= 1 / spec.bin_width
-            k = guess.astype(np.intp)  # guess >= -1/2, so truncation is the floor or 0
-            k += x >= edges[1:].take(k)
+        guess = inside + (half - spec.bin_width / 2)
+        guess *= 1 / spec.bin_width
+        k = guess.astype(np.intp)  # guess >= -1/2, so truncation is the floor or 0
+        k += x >= edges.take(k)
         np.subtract(k, 1 << (spec.bits - 1), out=idx[start:start + x.size], casting="unsafe")
     return CodeBlock(codes=idx.reshape(v.shape), spec=spec, clamped=clamped)

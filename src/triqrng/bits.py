@@ -37,9 +37,8 @@ class BitBlock:
         return cls(np.packbits(bits), int(bits.size))
 
     @classmethod
-    def from_bytes(cls, data: bytes, nbits: int | None = None) -> "BitBlock":
-        arr = np.frombuffer(data, dtype=np.uint8).copy()
-        return cls(arr, len(data) * 8 if nbits is None else nbits)
+    def from_bytes(cls, data: bytes) -> "BitBlock":
+        return cls(np.frombuffer(data, dtype=np.uint8).copy(), len(data) * 8)
 
     def bits(self) -> np.ndarray:
         """Unpacked 0/1 array of length ``len``."""
@@ -64,8 +63,8 @@ def codes_to_bits(codes: np.ndarray, bits: int) -> BitBlock:
     MSB-first, so a block of k codes yields k*bits bits. The offset code is
     left-aligned in a big-endian uint32, whose first `bits` bits are then
     the code's bits in order. At 8 and 16 bits the big-endian offset codes
-    themselves are that stream and are emitted as they are; 24-bit codes
-    have no 3-byte integer type and take the general path.
+    themselves are that stream and are emitted as they are; other depths
+    take the general path.
     """
     codes = np.asarray(codes)
     offset = codes.astype(np.int64) + (1 << (bits - 1))

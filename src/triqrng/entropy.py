@@ -144,9 +144,9 @@ class LagWindow:
     belongs to the batch of its later sample, the last `order` samples
     carry into the next batches, and a product reaching before the first
     fed sample is zero. Once the newer batches alone hold `window_samples`
-    samples the oldest batch leaves the window. On integer codes every
-    partial sum is an exact integer while the window's sums stay below
-    2^53 (16-bit codes: up to 2^23 samples), so the sums do not depend on
+    samples the oldest batch leaves the window. On int16 codes every
+    partial sum is an exact integer while the window holds at most 2^23
+    samples, where the sums stay below 2^53, so the sums do not depend on
     how the stream was split.
     """
 

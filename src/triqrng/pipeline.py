@@ -281,8 +281,7 @@ class Pipeline:
             failures = dict.fromkeys(("uniform", "gaussian"), f"certification failed: {err}")
         else:
             worst = min(reports.values(), key=lambda r: r.h_min_per_bit)
-            budget = (extractable_length(cfg.block_n, worst.h_min_per_bit, cfg.epsilon)
-                      if worst.h_min_per_bit > 0 else 0)
+            budget = extractable_length(cfg.block_n, worst.h_min_per_bit, cfg.epsilon)
             m_bits = precision_from_report(worst)
             if startup:
                 self._m_bits = m_bits

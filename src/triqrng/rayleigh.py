@@ -23,9 +23,9 @@ class PhaseResult:
 def rayleigh_raw(i_vals, q_vals) -> np.ndarray:
     """Element-wise amplitude sqrt(I^2 + Q^2).
 
-    On half-integer codes below 2^25 in magnitude, the pipeline's
-    truncated codes + 0.5, I^2 + Q^2 is exact in float64, so each
-    amplitude is the correctly rounded square root.
+    On the pipeline's truncated codes + 0.5, half-integers below 2^15 in
+    magnitude, I^2 + Q^2 is exact in float64, so each amplitude is the
+    correctly rounded square root.
     """
     i = np.asarray(i_vals, dtype=np.float64)
     q = np.asarray(q_vals, dtype=np.float64)

@@ -110,12 +110,11 @@ class ToeplitzExtractor:
 # valid when the length is a prime with 2 as a primitive root.
 
 def _order_of_two(n: int) -> int:
+    """Multiplicative order of 2 modulo n, an odd prime."""
     order, v = 1, 2 % n
     while v != 1:
         v = (v * 2) % n
         order += 1
-        if order > n:  # pragma: no cover - cannot happen for prime n
-            raise ArithmeticError("order computation diverged")
     return order
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import special
 
 import triqrng.adc
-from triqrng.adc import AdcSpec, CodeBlock, _edges, dnl_profile, quantize_channel
+from triqrng.adc import MAX_DNL, AdcSpec, CodeBlock, _edges, dnl_profile, quantize_channel
 from triqrng.source import QuadratureFrame
 from triqrng.stats import chi2_sf
 
@@ -65,7 +65,7 @@ def _with_neighbours(v: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("bits,range_v", [(4, 1.0), (10, 2.0), (16, 0.128)])
-@pytest.mark.parametrize("dnl_max", [0.0, 0.1, 0.49])
+@pytest.mark.parametrize("dnl_max", [0.0, 0.1, 0.45])
 def test_quantize_matches_searchsorted_oracle(bits, range_v, dnl_max):
     # oracle: the code is the number of (DNL-perturbed) edges <= v
     spec = AdcSpec(bits=bits, range_v=range_v, dnl_max=dnl_max, dnl_seed=bits)
@@ -83,18 +83,20 @@ def test_quantize_matches_searchsorted_oracle(bits, range_v, dnl_max):
     blk = quantize_channel(v, spec)
     expected = np.searchsorted(edges, v, side="right") - (1 << (bits - 1))
     assert np.array_equal(blk.codes, expected)
-    assert blk.codes.dtype == np.int32
+    assert blk.codes.dtype == np.int16
     assert blk.clamped == int(np.count_nonzero(v < -half) + np.count_nonzero(v >= half))
 
 
-@pytest.mark.parametrize("dnl_max", [triqrng.adc.ONE_STEP_DNL, np.nextafter(triqrng.adc.ONE_STEP_DNL, 1.0)])
-def test_quantize_matches_the_oracle_on_both_sides_of_the_one_step_bound(dnl_max):
-    # 20 bits: the deepest ADC whose edges a test can hold, so the guess's rounding error is largest
-    spec = AdcSpec(bits=20, range_v=0.128, dnl_max=dnl_max, dnl_seed=9)
+def test_quantize_matches_the_oracle_where_the_guess_has_least_room():
+    # the deepest ADC at the widest DNL bound: the guess's rounding error is
+    # largest there and its room, 1/2 - dnl_max bin, smallest; no wider bound loads
+    spec = AdcSpec(bits=16, range_v=0.128, dnl_max=MAX_DNL, dnl_seed=9)
     edges = _edges(spec)
-    v = np.concatenate([_with_neighbours(edges[::7]), np.random.default_rng(9).uniform(-0.065, 0.065, 1 << 18)])
-    expected = np.searchsorted(edges, v, side="right") - (1 << 19)
+    v = np.concatenate([_with_neighbours(edges), np.random.default_rng(9).uniform(-0.065, 0.065, 1 << 18)])
+    expected = np.searchsorted(edges, v, side="right") - (1 << 15)
     assert np.array_equal(quantize_channel(v, spec).codes, expected)
+    with pytest.raises(ValueError, match="dnl_max"):
+        AdcSpec(bits=16, dnl_max=np.nextafter(MAX_DNL, 1.0))
 
 
 def test_quantize_chunk_size_changes_nothing(monkeypatch):
@@ -182,12 +184,10 @@ def test_codeblock_range_validation():
         CodeBlock(codes=np.array([300]), spec=spec)
 
 
-def test_code_files_hold_at_most_16_bits(tmp_path):
-    path = str(tmp_path / "codes.i16")
-    with pytest.raises(ValueError, match="int16"):
-        CodeBlock(codes=np.array([70000, -100000]), spec=AdcSpec(bits=18)).tofile(path)
-    with pytest.raises(ValueError, match="int16"):
-        CodeBlock.fromfile(path, AdcSpec(bits=18))
+def test_code_files_hold_at_most_16_bits():
+    # no spec deeper than the int16 code files exists
+    with pytest.raises(ValueError, match="bits must be in \\[4, 16\\]"):
+        AdcSpec(bits=17)
 
 
 def test_code_file_round_trip_16_bits(tmp_path):
@@ -197,7 +197,16 @@ def test_code_file_round_trip_16_bits(tmp_path):
     CodeBlock(codes=codes, spec=spec).tofile(path)
     back = CodeBlock.fromfile(path, spec)
     assert back.spec == spec
-    assert np.array_equal(back.codes, codes)
+    assert np.array_equal(back.codes, codes) and back.codes.dtype == np.int16
+
+
+def test_code_file_rejects_a_partial_code(tmp_path):
+    # 5 bytes: two whole codes and one byte of a third
+    path = tmp_path / "odd.i16"
+    path.write_bytes(b"\x01\x00\x02\x00\x03")
+    with pytest.raises(ValueError, match="5 bytes is not a whole number of int16 codes") as err:
+        CodeBlock.fromfile(str(path), AdcSpec(bits=16))
+    assert str(path) in str(err.value)
 
 
 def test_code_file_rejects_codes_beyond_the_spec(tmp_path):

@@ -129,15 +129,25 @@ def test_certify_rejects_codes_beyond_the_adc_depth(tmp_path, capsys):
     assert "out of range for 12 bits" in capsys.readouterr().err
 
 
-def test_simulate_refuses_codes_deeper_than_16_bits(tmp_path, capsys):
-    from dataclasses import replace
+def test_certify_refuses_a_code_file_with_a_partial_code(tmp_path, capsys):
+    path = tmp_path / "odd.i16"
+    path.write_bytes(np.arange(64, dtype="<i2").tobytes() + b"\x00")
+    rc = main(["certify", "--i", str(path), "--q", str(path), "--bg-i", str(path), "--bg-q", str(path)])
+    assert rc == 2
+    assert f"{path}: 129 bytes is not a whole number of int16 codes" in capsys.readouterr().err
 
-    ini = str(tmp_path / "18bit.ini")
-    write_config(replace(PipelineConfig(), adc_bits=18, block_n=1152, block_m=1024), ini)
+
+def test_simulate_refuses_codes_deeper_than_16_bits(tmp_path, capsys):
+    # 1632 = 96 whole 17-bit codes, so only the depth itself is wrong
+    ini = tmp_path / "17bit.ini"
+    write_config(PipelineConfig(), str(ini))
+    text = ini.read_text()
+    assert "bits = 16\n" in text and "block_n = 1536\n" in text
+    ini.write_text(text.replace("bits = 16\n", "bits = 17\n").replace("block_n = 1536\n", "block_n = 1632\n"))
     prefix = str(tmp_path / "rec")
-    assert main(["-c", ini, "simulate", "-n", "64", "--out", prefix, "--format", "codes"]) == 2
-    assert "int16" in capsys.readouterr().err
-    assert not os.path.exists(prefix + ".i.i16")
+    assert main(["-c", str(ini), "simulate", "-n", "64", "--out", prefix, "--format", "codes"]) == 2
+    assert "[adc] bits must be in [4, 16]" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".i.i16") and not os.path.exists(prefix + ".q.i16")
 
 
 @pytest.mark.parametrize("argv", [

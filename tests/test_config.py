@@ -115,7 +115,7 @@ def _finite(lo: float, hi: float, **kw):
 
 @st.composite
 def configs(draw) -> PipelineConfig:
-    bits = draw(st.integers(4, 24))
+    bits = draw(st.integers(4, 16))
     block_n = math.lcm(8, bits) * draw(st.integers(1, 8))  # whole codes and whole bytes
     sg_window = 2 * draw(st.integers(0, min(40, (block_n // bits - 1) // 2))) + 1  # at most one block
     buffer_bytes = draw(st.integers(1, 1 << 30))
@@ -130,7 +130,7 @@ def configs(draw) -> PipelineConfig:
         "prng_seed": draw(st.integers(0, 2**64)),  # above 2^53 a float loses the seed
         "adc_bits": bits,
         "adc_range_v": draw(_finite(1e-6, 10)),
-        "adc_dnl_max": draw(_finite(0, 0.5, exclude_max=True)),
+        "adc_dnl_max": draw(_finite(0, 0.45)),
         "adc_dnl_seed": draw(st.integers(0, 2**32)),
         "block_n": block_n,
         "block_m": 8 * draw(st.integers(1, block_n // 8)),
@@ -221,3 +221,18 @@ def test_sigma_q2_is_responsivity_times_lo_power():
     cfg = PipelineConfig(lo_power_mw=2.0, responsivity=3.0)
     assert cfg.noise_model().sigma_q2 == 6.0
     assert PipelineConfig().noise_model().sigma_q2 == 5.324327e-06
+
+
+@pytest.mark.parametrize("key, widest, refused", [
+    pytest.param("bits", "16", "17", id="deeper-than-int16"),
+    pytest.param("dnl_max", "0.45", "0.46", id="dnl-past-the-one-step-bound"),
+])
+def test_the_adc_range_ends_where_every_stage_is_exact(tmp_path, key, widest, refused):
+    text = _default_ini(tmp_path)
+    (line,) = [line for line in text.splitlines() if line.startswith(f"{key} = ")]
+    path = tmp_path / "adc.ini"
+    path.write_text(text.replace(line, f"{key} = {widest}"))
+    assert str(getattr(load_config(str(path)), "adc_" + key)) == widest
+    path.write_text(text.replace(line, f"{key} = {refused}"))
+    with pytest.raises(ConfigError, match=rf"^\[adc\] {key} must be in "):
+        load_config(str(path))

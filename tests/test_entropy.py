@@ -86,9 +86,9 @@ G_STAR_PRESET_RANGE = {
 
 
 def test_g_star_pinned_for_every_adc_width():
+    # widths past the 16 an AdcSpec accepts stay pinned as solver cases
     for bits, pinned in G_STAR_PRESET_RANGE.items():
-        spec = AdcSpec(bits=bits, range_v=0.128)
-        assert solve_g_star(spec.bin_width, spec.range_v / 2).hex() == pinned, bits
+        assert solve_g_star(0.128 / 2**bits, 0.064).hex() == pinned, bits
 
 
 def test_g_star_six_decade_sweep():
@@ -215,7 +215,7 @@ def _naive_window_lags(stream: list[int], sizes: list[int], order: int, window: 
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(1, 90), min_size=1, max_size=12), bits=st.sampled_from([4, 16, 24]),
+@given(sizes=st.lists(st.integers(1, 90), min_size=1, max_size=12), bits=st.integers(4, 16),
        order=st.integers(0, 20), window=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
 @example(sizes=[5, 3, 4], bits=16, order=2, window=7, seed=0)  # the last two batches hold exactly 7
 def test_lag_window_equals_the_naive_window_for_any_batch_split(sizes, bits, order, window, seed):
@@ -225,7 +225,7 @@ def test_lag_window_equals_the_naive_window_for_any_batch_split(sizes, bits, ord
     lag_window = LagWindow(order, window)
     offset = 0
     for size in sizes:
-        lag_window.feed(np.array(stream[offset:offset + size], dtype=np.int32))
+        lag_window.feed(np.array(stream[offset:offset + size], dtype=np.int16))
         offset += size
     n, expect = _naive_window_lags(stream, sizes, order, window)
     assert lag_window.n_samples == n
@@ -233,11 +233,7 @@ def test_lag_window_equals_the_naive_window_for_any_batch_split(sizes, bits, ord
         with pytest.raises(ValueError, match="prediction_order"):
             lag_window.autocovariance()
         return
-    got = lag_window.autocovariance()
-    if bits <= 16:
-        assert np.array_equal(got, expect)
-    else:
-        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+    assert np.array_equal(lag_window.autocovariance(), expect)
 
 
 def test_lag_window_on_a_startup_record_equals_the_naive_sums_bit_for_bit():
@@ -246,7 +242,7 @@ def test_lag_window_on_a_startup_record_equals_the_naive_sums_bit_for_bit():
     codes = rng.integers(-(1 << 15), 1 << 15, size=1 << 18)
     window = LagWindow(16, 1 << 18)
     for part in np.split(codes, [5, 9000, 9003, 100_000, 200_000]):
-        window.feed(part.astype(np.int32))
+        window.feed(part.astype(np.int16))
     x = [int(v) for v in codes]
     lags = [sum(a * b for a, b in zip(x[k:], x)) for k in range(17)]
     n, total = len(x), sum(x)

@@ -101,11 +101,12 @@ def test_type_switching_keeps_raw_consumption_fixed():
     assert len(consumed) == 1
 
 
-def test_gaussian_codes_fit_the_int16_wire_on_a_20_bit_adc():
-    # a 20-bit ADC certifies about 15 input bits; uncapped, 15 + 4 - 1 = 18-bit
-    # codes were shifted left by -2 on the wire, and every wire value was 0
-    cfg = fast_config(adc_bits=20, block_n=1520, certify_samples=1 << 17, pool_size=4096)
-    run = run_pipeline(cfg, duration_blocks=-(-4096 // 76), want={"gaussian"})
+def test_gaussian_codes_fit_the_int16_wire_at_the_precision_cap():
+    # a near-ideal 16-bit source certifies 14 input bits; uncapped, 14 + 4 - 1 = 17-bit
+    # codes would be shifted left by -1 on the wire, and every wire value would be 0
+    cfg = fast_config(filter_taps=(1.0,), sigma_e2=1e-8, adc_dnl_max=0.0, certify_samples=1 << 17,
+                      pool_size=4096)
+    run = run_pipeline(cfg, duration_blocks=-(-4096 // 96), want={"gaussian"})
     assert run.n_out == 16
     for codes in (run.gaussian_i, run.gaussian_q):
         assert codes.size == 4096
