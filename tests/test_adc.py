@@ -87,16 +87,19 @@ def test_quantize_matches_searchsorted_oracle(bits, range_v, dnl_max):
     assert blk.clamped == int(np.count_nonzero(v < -half) + np.count_nonzero(v >= half))
 
 
-def test_quantize_matches_the_oracle_where_the_guess_has_least_room():
+@pytest.mark.parametrize("dnl_max", [MAX_DNL, np.nextafter(MAX_DNL, 1.0)])
+def test_quantize_matches_the_oracle_on_both_sides_of_the_one_step_bound(dnl_max):
     # the deepest ADC at the widest DNL bound: the guess's rounding error is
     # largest there and its room, 1/2 - dnl_max bin, smallest; no wider bound loads
-    spec = AdcSpec(bits=16, range_v=0.128, dnl_max=MAX_DNL, dnl_seed=9)
+    if dnl_max > MAX_DNL:
+        with pytest.raises(ValueError, match="dnl_max"):
+            AdcSpec(bits=16, range_v=0.128, dnl_max=dnl_max, dnl_seed=9)
+        return
+    spec = AdcSpec(bits=16, range_v=0.128, dnl_max=dnl_max, dnl_seed=9)
     edges = _edges(spec)
     v = np.concatenate([_with_neighbours(edges), np.random.default_rng(9).uniform(-0.065, 0.065, 1 << 18)])
     expected = np.searchsorted(edges, v, side="right") - (1 << 15)
     assert np.array_equal(quantize_channel(v, spec).codes, expected)
-    with pytest.raises(ValueError, match="dnl_max"):
-        AdcSpec(bits=16, dnl_max=np.nextafter(MAX_DNL, 1.0))
 
 
 def test_quantize_chunk_size_changes_nothing(monkeypatch):
